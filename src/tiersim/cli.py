@@ -14,9 +14,9 @@ import sys
 from .config import (CACHING, Policy, SimConfig, config_from_mapping,
                      load_config_file, parse_size)
 from .core import Simulator
-from .metering import metadata_cost
-from .trace import (TraceError, WorkloadSpec, generate, load_trace,
-                    split_record, write_trace)
+from .metering import REPORT_SCHEMA_VERSION, metadata_cost
+from .trace import (WORKLOAD_KINDS, TraceError, WorkloadSpec, generate,
+                    load_trace, split_record, write_trace)
 
 SWEEPABLE = {
     "promotion_threshold": int,
@@ -45,8 +45,7 @@ def _add_config_flags(p):
 
 def _add_workload_flags(p):
     p.add_argument("--trace", help="trace file (.gz accepted)")
-    p.add_argument("--gen", choices=("sequential", "strided", "zipfian",
-                                     "sparse-wide", "streaming-store"),
+    p.add_argument("--gen", choices=WORKLOAD_KINDS,
                    help="generate a synthetic workload instead of reading a trace")
     p.add_argument("--requests", type=int, default=100_000)
     p.add_argument("--footprint", help="workload footprint (e.g. 64MiB)")
@@ -210,51 +209,46 @@ def _emit(payload, reports, out, fmt):
         sys.stdout.write(text)
 
 
+def _policies(args):
+    return [Policy(p.strip().lower()) for p in args.policy.split(",") if p.strip()]
+
+
+def _run_labeled(base, policy, records, **changes) -> dict:
+    """Report of one run; a failed run becomes a labeled entry holding the
+    policy and the error, so the remaining runs still happen."""
+    try:
+        cfg = dataclasses.replace(config_for_policy(base, policy), **changes)
+        return Simulator(cfg.validate()).run(records)
+    except Exception as exc:
+        return {"policy": policy.value, "error": str(exc)}
+
+
 def cmd_run(args) -> int:
     base = base_config(args)
     records = workload_records(args, base)
-    policies = [Policy(p.strip().lower()) for p in args.policy.split(",") if p.strip()]
-    reports = []
-    failed = False
-    for policy in policies:
-        try:
-            cfg = config_for_policy(base, policy).validate()
-            reports.append(Simulator(cfg).run(records))
-        except Exception as exc:  # label the failure, keep going
-            failed = True
-            reports.append({"policy": policy.value, "error": str(exc)})
-    payload = {"schema_version": 1, "kind": "run", "reports": reports}
+    reports = [_run_labeled(base, policy, records) for policy in _policies(args)]
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": "run",
+               "reports": reports}
     comparison = _comparison(reports)
     if comparison is not None:
         payload["comparison"] = comparison
     _emit(payload, reports, args.out, args.format)
-    return 1 if failed else 0
+    return 1 if any("error" in rep for rep in reports) else 0
 
 
 def cmd_sweep(args) -> int:
     base = base_config(args)
     records = workload_records(args, base)
-    policies = [Policy(p.strip().lower()) for p in args.policy.split(",") if p.strip()]
+    policies = _policies(args)
     conv = SWEEPABLE[args.param]
     values = [conv(v.strip()) for v in args.values.split(",") if v.strip()]
-    reports = []
-    failed = False
-    for policy in policies:
-        for value in values:
-            try:
-                cfg = config_for_policy(base, policy)
-                cfg = dataclasses.replace(cfg, **{args.param: value}).validate()
-                rep = Simulator(cfg).run(records)
-            except Exception as exc:
-                failed = True
-                rep = {"policy": policy.value, "error": str(exc)}
-            rep["sweep_param"] = args.param
-            rep["sweep_value"] = value
-            reports.append(rep)
-    payload = {"schema_version": 1, "kind": "sweep", "param": args.param,
-               "values": values, "reports": reports}
+    reports = [{**_run_labeled(base, policy, records, **{args.param: value}),
+                "sweep_param": args.param, "sweep_value": value}
+               for policy in policies for value in values]
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": "sweep",
+               "param": args.param, "values": values, "reports": reports}
     _emit(payload, reports, args.out, args.format)
-    return 1 if failed else 0
+    return 1 if any("error" in rep for rep in reports) else 0
 
 
 def cmd_gen(args) -> int:

@@ -1,5 +1,15 @@
-"""Top-level simulator: request dispatch over the page table, block cache,
-migration engine, policy layer and meters."""
+"""Top-level simulator: one request path over the page table, block cache,
+migration engine, policy layer and meters.
+
+Each request first lets the DMA engine catch up and records the access.
+A resident cache copy of the block is then served from fast memory, unless
+its page was promoted and is not in flight, in which case the line is
+recycled into the page. Next the engine locates the copy of an in-flight
+page that holds the byte (a write to the chunk being copied stalls until it
+lands); otherwise the remap table gives the page. A touch served from a slow
+page that is not in flight asks the policy for a swap or a block copy.
+All-DRAM is the same path over an identity table whose pages are all fast.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +22,7 @@ from .migration import DmaEngine
 from .pagetable import PageTable
 from .policies import COPY_BLOCK, TRY_SWAP, make_controller, slow_touch_action
 from .recency import make_recency_filter
+from .subcache import BlockCache
 from .trace import TraceError
 
 
@@ -34,18 +45,6 @@ class ServiceOutcome:
     latency_ns: int
     stall_ns: int = 0
     data: bytes | None = None
-    migrations: tuple = ()
-
-
-class SimClock:
-    __slots__ = ("now_ns",)
-
-    def __init__(self):
-        self.now_ns = 0
-
-    def advance(self, ns: int):
-        assert ns >= 0
-        self.now_ns += ns
 
 
 def write_payload(seq: int, size: int) -> bytes:
@@ -57,9 +56,12 @@ class Simulator:
     def __init__(self, config: SimConfig):
         self.config = config.validate()
         cfg = self.config
-        self.clock = SimClock()
         self.ledger = MeterLedger(cfg)
         self.blocks_per_page = cfg.blocks_per_page
+        # All-DRAM maps a host space larger than its fast capacity, so only
+        # there can a trace's footprint outgrow the pages that exist.
+        self.capacity_pages = (cfg.fast_capacity_bytes // cfg.page_size_bytes
+                               + cfg.slow_pages)
         self.mem = {}                  # internal page -> bytearray
         self.touched_blocks = set()    # host block ids
         self.requests = 0
@@ -70,14 +72,6 @@ class Simulator:
         self.writebacks = 0
         self.recycles = 0
 
-        if cfg.policy is Policy.ALLDRAM:
-            self.pagetable = None
-            self.engine = None
-            self.cache = None
-            self.controller = None
-            self._touched_pages = set()
-            return
-
         recency = make_recency_filter(cfg.bloom_window, cfg.exact_recency)
         shuffle_seed = cfg.rng_seed if cfg.policy is Policy.STATIC else None
         self.pagetable = PageTable(cfg.fast_pages, cfg.total_pages,
@@ -85,14 +79,12 @@ class Simulator:
                                    static_shuffle_seed=shuffle_seed)
         self.engine = DmaEngine(cfg.page_size_bytes, cfg.block_size_bytes,
                                 cfg.dma_bandwidth_bytes_per_ns,
-                                on_complete=self._swap_completed)
+                                on_complete=self._swap_completed,
+                                exchange=self._exchange_chunk)
         self.controller = make_controller(cfg)
-        if cfg.policy in CACHING:
-            from .subcache import BlockCache
-            self.cache = BlockCache(cfg.cache_sets, cfg.cache_ways,
-                                    cfg.block_size_bytes)
-        else:
-            self.cache = None
+        self.cache = (BlockCache(cfg.cache_sets, cfg.cache_ways,
+                                 cfg.block_size_bytes)
+                      if cfg.policy in CACHING else None)
         if cfg.policy in MIGRATING:
             self.pagetable.search_candidate()
 
@@ -101,6 +93,10 @@ class Simulator:
     def _page_mem(self, internal_page: int) -> bytearray:
         buf = self.mem.get(internal_page)
         if buf is None:
+            if len(self.mem) >= self.capacity_pages:
+                raise SimulationError(
+                    "all-DRAM run needs fast capacity >= trace footprint "
+                    f"(more than {self.capacity_pages} pages touched)")
             buf = bytearray(self.config.page_size_bytes)
             self.mem[internal_page] = buf
         return buf
@@ -115,6 +111,13 @@ class Simulator:
 
     def _swap_completed(self, job):
         self.pagetable.swap_mappings(job.src_host, job.dst_host)
+
+    def _locate(self, host_page: int, offset_in_page: int) -> int:
+        """Internal page holding this byte of `host_page` right now."""
+        internal = self.engine.locate(host_page, offset_in_page)
+        if internal is None:
+            return self.pagetable.lookup(host_page)
+        return internal
 
     # Dispatch ------------------------------------------------------------
 
@@ -141,134 +144,68 @@ class Simulator:
         offset_in_page = addr % cfg.page_size_bytes
         block_index = offset_in_page // cfg.block_size_bytes
         block_id = addr // cfg.block_size_bytes
-        offset_in_block = addr % cfg.block_size_bytes
         self.touched_blocks.add(block_id)
 
-        if cfg.policy is Policy.ALLDRAM:
-            return self._dispatch_alldram(kind, host_page, offset_in_page,
-                                          size, seq)
-
-        self.engine.advance_to(self.clock.now_ns, self._exchange_chunk)
+        engine = self.engine
+        ledger = self.ledger
+        engine.advance_to(ledger.total_foreground_ns)
         self.pagetable.record_access(host_page, block_index)
+        loc = engine.locate(host_page, offset_in_page) if engine.job else None
+        in_flight = loc is not None
+        internal = loc if in_flight else self.pagetable.lookup(host_page)
 
         # The cache copy, when present, is always the authoritative one.
+        # Once its page is promoted and no longer in flight, it is recycled.
         if self.cache is not None:
             way = self.cache.lookup(block_id)
             if way is not None:
-                outcome = self._serve_cached(kind, host_page, block_id, way,
-                                             offset_in_page, offset_in_block,
-                                             size, seq)
-                if outcome is not None:
-                    return outcome
-                # Block was recycled into the fast page; fall through.
+                if in_flight or not self.pagetable.in_fast(internal):
+                    line = self.cache.line(block_id, way, write=kind == "W")
+                    return self._serve(kind, "fast", line,
+                                       addr % cfg.block_size_bytes, size, seq)
+                dirty, data = self.cache.invalidate(block_id, way)
+                self.pagetable.drop_cached_block(host_page)
+                self.recycles += 1
+                if dirty:
+                    self._write_back(internal, block_id, data)
 
-        job = self.engine.job
-        if job is not None and job.involves(host_page):
-            return self._serve_conflicting(kind, host_page, offset_in_page,
-                                           size, seq)
+        stall = 0
+        if in_flight and kind == "W":
+            stall = engine.write_stall_ns(offset_in_page,
+                                          ledger.total_foreground_ns)
+            if stall:
+                ledger.charge_stall(stall)
+                engine.advance_to(ledger.total_foreground_ns)
+                internal = self._locate(host_page, offset_in_page)
 
-        internal = self.pagetable.lookup(host_page)
-        if self.pagetable.in_fast(internal):
-            return self._serve_page(kind, "fast", internal, offset_in_page,
-                                    size, seq)
-
-        outcome = self._serve_page(kind, "slow", internal, offset_in_page,
-                                   size, seq)
-        migrations = self._slow_policy_actions(host_page, internal, block_id,
-                                               offset_in_page, size)
-        outcome.migrations = tuple(migrations)
+        tier = "fast" if self.pagetable.in_fast(internal) else "slow"
+        outcome = self._serve(kind, tier, self._page_mem(internal),
+                              offset_in_page, size, seq, stall)
+        if tier == "slow" and not in_flight:
+            self._slow_policy_actions(host_page, internal, block_id,
+                                      offset_in_page)
         return outcome
 
-    # Serving paths -------------------------------------------------------
-
-    def _dispatch_alldram(self, kind, host_page, offset_in_page, size, seq):
-        cfg = self.config
-        if host_page not in self._touched_pages:
-            self._touched_pages.add(host_page)
-            footprint = len(self._touched_pages) * cfg.page_size_bytes
-            if footprint > cfg.fast_capacity_bytes:
-                raise SimulationError(
-                    "all-DRAM run needs fast capacity >= trace footprint "
-                    f"({footprint} > {cfg.fast_capacity_bytes} bytes)")
-        buf = self._page_mem(host_page)
-        data = None
-        if kind == "R":
-            latency = self.ledger.charge("fast", "read", True, size)
-            data = bytes(buf[offset_in_page:offset_in_page + size])
-        else:
-            latency = self.ledger.charge("fast", "write", True, size)
-            buf[offset_in_page:offset_in_page + size] = write_payload(seq, size)
-        self.clock.advance(latency)
-        return ServiceOutcome(seq, "fast", latency, data=data)
-
-    def _serve_page(self, kind, tier, internal, offset_in_page, size, seq):
-        buf = self._page_mem(internal)
+    def _serve(self, kind, tier, buf, offset, size, seq, stall=0):
+        """Charge a foreground access and move its bytes in a page or line."""
         data = None
         if kind == "R":
             latency = self.ledger.charge(tier, "read", True, size)
-            data = bytes(buf[offset_in_page:offset_in_page + size])
+            data = bytes(buf[offset:offset + size])
         else:
             latency = self.ledger.charge(tier, "write", True, size)
-            buf[offset_in_page:offset_in_page + size] = write_payload(seq, size)
-        self.clock.advance(latency)
-        return ServiceOutcome(seq, tier, latency, data=data)
-
-    def _serve_cached(self, kind, host_page, block_id, way, offset_in_page,
-                      offset_in_block, size, seq):
-        """Serve a cache hit, or recycle the block first if its page has
-        been promoted (returns None after recycling so the caller re-routes)."""
-        internal = self.pagetable.lookup(host_page)
-        job = self.engine.job
-        in_flight = job is not None and job.involves(host_page)
-        if self.pagetable.in_fast(internal) and not in_flight:
-            dirty, data = self.cache.invalidate(block_id, way)
-            self.pagetable.drop_cached_block(host_page)
-            self.recycles += 1
-            if dirty:
-                block_lo = (offset_in_page // self.config.block_size_bytes
-                            ) * self.config.block_size_bytes
-                self._page_mem(internal)[block_lo:block_lo + len(data)] = data
-                self.ledger.charge("fast", "write", False, len(data))
-                self.ledger.charge_migrated(len(data))
-            return None
-
-        data = None
-        if kind == "R":
-            latency = self.ledger.charge("fast", "read", True, size)
-            data = self.cache.read(block_id, way, offset_in_block, size)
-        else:
-            latency = self.ledger.charge("fast", "write", True, size)
-            self.cache.write(block_id, way, offset_in_block,
-                             write_payload(seq, size))
-        self.clock.advance(latency)
-        return ServiceOutcome(seq, "fast", latency, data=data)
-
-    def _serve_conflicting(self, kind, host_page, offset_in_page, size, seq):
-        """Request to a page whose swap is in flight: route by progress."""
-        engine = self.engine
-        stall = 0
-        if kind == "W":
-            stall = engine.write_stall_ns(offset_in_page, self.clock.now_ns)
-            if stall:
-                self.ledger.charge_stall(stall)
-                self.clock.advance(stall)
-                engine.advance_to(self.clock.now_ns, self._exchange_chunk)
-
-        if engine.job is not None:
-            loc = engine.location_for(host_page, engine.route(offset_in_page))
-        else:
-            loc = self.pagetable.lookup(host_page)  # swap finished during stall
-        tier = "fast" if self.pagetable.in_fast(loc) else "slow"
-        buf = self._page_mem(loc)
-        data = None
-        if kind == "R":
-            latency = self.ledger.charge(tier, "read", True, size)
-            data = bytes(buf[offset_in_page:offset_in_page + size])
-        else:
-            latency = self.ledger.charge(tier, "write", True, size)
-            buf[offset_in_page:offset_in_page + size] = write_payload(seq, size)
-        self.clock.advance(latency)
+            buf[offset:offset + size] = write_payload(seq, size)
         return ServiceOutcome(seq, tier, latency, stall_ns=stall, data=data)
+
+    def _write_back(self, internal, block_id, data) -> str:
+        """Merge a dirty cache line into its page as background traffic;
+        returns the tier written."""
+        lo = (block_id % self.blocks_per_page) * self.config.block_size_bytes
+        self._page_mem(internal)[lo:lo + len(data)] = data
+        tier = "fast" if self.pagetable.in_fast(internal) else "slow"
+        self.ledger.charge(tier, "write", False, len(data))
+        self.ledger.charge_migrated(len(data))
+        return tier
 
     # Policy side effects ---------------------------------------------------
 
@@ -278,19 +215,15 @@ class Simulator:
         return self.config.promotion_threshold
 
     def _slow_policy_actions(self, host_page, internal, block_id,
-                             offset_in_page, size):
+                             offset_in_page):
         action = slow_touch_action(self.config.policy,
                                    self.pagetable.cached_blocks[host_page],
                                    self._live_threshold())
-        migrations = []
         if action == TRY_SWAP:
             if not self.engine.busy and self.pagetable.candidate is not None:
                 self._start_swap(host_page, internal)
-                migrations.append(("page_swap", host_page))
         elif action == COPY_BLOCK:
-            self._copy_block_in(host_page, internal, block_id, offset_in_page,
-                                migrations)
-        return migrations
+            self._copy_block_in(host_page, internal, block_id, offset_in_page)
 
     def _start_swap(self, host_page, internal):
         dst_host, dst_internal = self.pagetable.take_candidate()
@@ -298,8 +231,8 @@ class Simulator:
             self.controller.on_promotion(
                 self.pagetable.bitmap_popcount(host_page))
         self.pagetable.reset_bitmap(host_page)
-        job = self.engine.start_swap(host_page, internal, dst_host,
-                                     dst_internal, self.clock.now_ns)
+        self.engine.start_swap(host_page, internal, dst_host, dst_internal,
+                               self.ledger.total_foreground_ns)
         page = self.config.page_size_bytes
         # Both pages move: each tier sees a full page of reads and writes.
         self.ledger.charge("slow", "read", False, page)
@@ -308,10 +241,10 @@ class Simulator:
         self.ledger.charge("slow", "write", False, page)
         self.ledger.charge_migrated(2 * page)
         self.page_relocations += 1
-        self.pagetable.search_candidate(excluded_internal=job.internal_pages())
+        self.pagetable.search_candidate(
+            excluded_internal=(internal, dst_internal))
 
-    def _copy_block_in(self, host_page, internal, block_id, offset_in_page,
-                       migrations):
+    def _copy_block_in(self, host_page, internal, block_id, offset_in_page):
         block = self.config.block_size_bytes
         lo = (offset_in_page // block) * block
         data = bytes(self._page_mem(internal)[lo:lo + block])
@@ -321,33 +254,21 @@ class Simulator:
         self.ledger.charge("fast", "write", False, block)
         self.ledger.charge_migrated(block)
         self.block_relocations += 1
-        migrations.append(("block_copy", block_id))
         if victim is not None:
-            self._evict_victim(victim, migrations)
+            self._evict_victim(victim)
 
-    def _evict_victim(self, victim, migrations):
+    def _evict_victim(self, victim):
         vtag, vdirty, vdata = victim
         v_host = vtag // self.blocks_per_page
         self.pagetable.drop_cached_block(v_host)
         if not vdirty:
             return
-        block = self.config.block_size_bytes
-        v_offset = (vtag % self.blocks_per_page) * block
-        job = self.engine.job
-        if job is not None and job.involves(v_host):
-            loc = self.engine.location_for(v_host, self.engine.route(v_offset))
-        else:
-            loc = self.pagetable.lookup(v_host)
-        self._page_mem(loc)[v_offset:v_offset + block] = vdata
-        if self.pagetable.in_fast(loc):
-            self.ledger.charge("fast", "write", False, block)
+        v_offset = (vtag % self.blocks_per_page) * self.config.block_size_bytes
+        if self._write_back(self._locate(v_host, v_offset), vtag,
+                            vdata) == "fast":
             self.recycles += 1
-            migrations.append(("recycle_merge", vtag))
         else:
-            self.ledger.charge("slow", "write", False, block)
             self.writebacks += 1
-            migrations.append(("writeback", vtag))
-        self.ledger.charge_migrated(block)
 
     # Run loop --------------------------------------------------------------
 
@@ -358,10 +279,9 @@ class Simulator:
         return self.finish()
 
     def finish(self) -> dict:
-        if self.engine is not None and self.engine.busy:
+        if self.engine.busy:
             # Drain the in-flight swap; DMA time is off the foreground clock.
-            self.engine.advance_to(self.engine.completion_ns(),
-                                   self._exchange_chunk)
+            self.engine.advance_to(self.engine.completion_ns())
         return self._report()
 
     def _report(self) -> dict:
@@ -382,17 +302,14 @@ class Simulator:
             "requests": self.requests,
             "reads": self.reads,
             "writes": self.writes,
-            "footprint_pages": (len(self._touched_pages)
-                                if cfg.policy is Policy.ALLDRAM
-                                else len({b // self.blocks_per_page
-                                          for b in self.touched_blocks})),
+            "footprint_pages": len({b // self.blocks_per_page
+                                    for b in self.touched_blocks}),
             "page_relocations": self.page_relocations,
             "block_relocations": self.block_relocations,
             "writebacks": self.writebacks,
             "recycles": self.recycles,
         }
-        report.update(self.ledger.finalize(self.ledger.total_foreground_ns,
-                                           gib(cfg.fast_capacity_bytes)))
+        report.update(self.ledger.finalize(gib(cfg.fast_capacity_bytes)))
         return report
 
     # Test interfaces ---------------------------------------------------------
@@ -400,25 +317,14 @@ class Simulator:
     def peek(self, host_addr: int, size: int) -> bytes:
         """Resolve the freshest bytes for a host address without metering."""
         cfg = self.config
-        host_page = host_addr // cfg.page_size_bytes
-        offset_in_page = host_addr % cfg.page_size_bytes
-        if cfg.policy is Policy.ALLDRAM:
-            buf = self._page_mem(host_page)
-            return bytes(buf[offset_in_page:offset_in_page + size])
-        block_id = host_addr // cfg.block_size_bytes
-        if self.cache is not None:
-            way = self.cache.peek(block_id)
-            if way is not None:
-                return self.cache.read(block_id, way,
-                                       host_addr % cfg.block_size_bytes, size)
-        job = self.engine.job
-        if job is not None and job.involves(host_page):
-            loc = self.engine.location_for(host_page,
-                                           self.engine.route(offset_in_page))
+        block_id, offset = divmod(host_addr, cfg.block_size_bytes)
+        way = None if self.cache is None else self.cache.peek(block_id)
+        if way is not None:
+            buf = self.cache.line(block_id, way)
         else:
-            loc = self.pagetable.lookup(host_page)
-        buf = self._page_mem(loc)
-        return bytes(buf[offset_in_page:offset_in_page + size])
+            host_page, offset = divmod(host_addr, cfg.page_size_bytes)
+            buf = self.mem.get(self._locate(host_page, offset))
+        return bytes(size) if buf is None else bytes(buf[offset:offset + size])
 
     def content_digest(self) -> str:
         block = self.config.block_size_bytes

@@ -25,6 +25,7 @@ class MeterLedger:
         self.config = config
         for name in self.FG_FIELDS + self.MIG_FIELDS:
             setattr(self, name, 0)
+        # The simulated clock: foreground accesses and write stalls advance it.
         self.total_foreground_ns = 0
         self.stall_ns = 0
         self.write_stalls = 0
@@ -65,8 +66,8 @@ class MeterLedger:
             "energy_slow_write_nj": (self.slow_writes + self.mig_slow_writes) * cfg.slow_write_nj,
         }
 
-    def finalize(self, elapsed_ns: int, background_gib: float,
-                 alldram_baseline: dict | None = None) -> dict:
+    def finalize(self, background_gib: float) -> dict:
+        elapsed_ns = self.total_foreground_ns
         energy = self.energy_breakdown(elapsed_ns, background_gib)
         total_energy = (energy["energy_fast_background_nj"]
                         + energy["energy_fast_read_nj"]
@@ -96,8 +97,6 @@ class MeterLedger:
         }
         report.update(energy)
         report["energy_total_nj"] = total_energy
-        if alldram_baseline is not None and alldram_baseline.get("energy_total_nj"):
-            report["energy_rel_alldram"] = total_energy / alldram_baseline["energy_total_nj"]
         return report
 
 

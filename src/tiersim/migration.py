@@ -1,5 +1,6 @@
 """Background DMA model: full-page swaps between tiers with chunk-granular
-progress, plus routing for requests that hit a page while it is in flight."""
+progress, plus the locator for requests that hit a page while it is in
+flight."""
 
 from __future__ import annotations
 
@@ -22,16 +23,6 @@ class SwapJob:
     def total_chunks(self) -> int:
         return self.page_bytes // self.chunk_bytes
 
-    @property
-    def progress_bytes(self) -> int:
-        return self.applied_chunks * self.chunk_bytes
-
-    def involves(self, host_page: int) -> bool:
-        return host_page in (self.src_host, self.dst_host)
-
-    def internal_pages(self):
-        return (self.src_internal, self.dst_internal)
-
 
 class DmaEngine:
     """Single-job page-swap engine.
@@ -44,11 +35,14 @@ class DmaEngine:
     """
 
     def __init__(self, page_bytes: int, chunk_bytes: int, bandwidth: float,
-                 on_complete):
+                 on_complete, exchange=None):
         self.page_bytes = page_bytes
         self.chunk_bytes = chunk_bytes
         self.bandwidth = bandwidth
         self.on_complete = on_complete   # called with the finished SwapJob
+        # Called with each chunk index as it lands, to swap that chunk of
+        # content between the two pages.
+        self.exchange = exchange
         self.job = None
         self.completed_swaps = 0
 
@@ -75,20 +69,15 @@ class DmaEngine:
             return job.total_chunks
         return int(elapsed * self.bandwidth / 2 // self.chunk_bytes)
 
-    def advance_to(self, now_ns: int, exchange=None):
-        """Apply chunk copies up to `now_ns`; fire completion when done.
-
-        `exchange(chunk_index)` physically swaps one chunk of content
-        between the two pages (the oracle passes None and keeps content
-        keyed by host address instead).
-        """
+    def advance_to(self, now_ns: int):
+        """Apply chunk copies up to `now_ns`; fire completion when done."""
         job = self.job
         if job is None:
             return
         done = self._chunks_done_at(now_ns)
-        if exchange is not None:
+        if self.exchange is not None:
             for k in range(job.applied_chunks, done):
-                exchange(k)
+                self.exchange(k)
         job.applied_chunks = max(job.applied_chunks, done)
         if job.applied_chunks >= job.total_chunks:
             self.job = None
@@ -107,11 +96,18 @@ class DmaEngine:
 
     # Routing -----------------------------------------------------------
 
-    def route(self, offset_in_page: int):
-        """Which copy currently holds this byte: 'new' or 'old'."""
+    def locate(self, host_page: int, offset_in_page: int):
+        """Internal page holding this byte of `host_page`, or None when the
+        page is not in flight."""
         job = self.job
-        chunk = offset_in_page // self.chunk_bytes
-        return "new" if chunk < job.applied_chunks else "old"
+        if job is None:
+            return None
+        copied = offset_in_page // self.chunk_bytes < job.applied_chunks
+        if host_page == job.src_host:
+            return job.dst_internal if copied else job.src_internal
+        if host_page == job.dst_host:
+            return job.src_internal if copied else job.dst_internal
+        return None
 
     def write_stall_ns(self, offset_in_page: int, now_ns: int) -> int:
         """Extra wait for a write landing in the chunk currently copying."""
@@ -120,10 +116,3 @@ class DmaEngine:
         if chunk != job.applied_chunks:
             return 0
         return max(0, self.chunk_done_ns(chunk) - now_ns)
-
-    def location_for(self, host_page: int, route: str) -> int:
-        """Internal page where the routed copy lives."""
-        job = self.job
-        if host_page == job.src_host:
-            return job.dst_internal if route == "new" else job.src_internal
-        return job.src_internal if route == "new" else job.dst_internal

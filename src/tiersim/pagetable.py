@@ -37,9 +37,6 @@ class PageTable:
         self.table = list(range(total_pages))
         if static_shuffle_seed is not None:
             random.Random(static_shuffle_seed).shuffle(self.table)
-        self.inverse = [0] * total_pages
-        for host, internal in enumerate(self.table):
-            self.inverse[internal] = host
 
         self.cached_blocks = [0] * total_pages
         self.bitmap = [0] * total_pages
@@ -115,7 +112,6 @@ class PageTable:
     def swap_mappings(self, host_a: int, host_b: int):
         ta, tb = self.table[host_a], self.table[host_b]
         self.table[host_a], self.table[host_b] = tb, ta
-        self.inverse[ta], self.inverse[tb] = host_b, host_a
 
     def dump(self) -> str:
         lines = ["host_page internal_page cached_blocks bitmap"]

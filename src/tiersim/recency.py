@@ -69,12 +69,10 @@ class BloomRecencyFilter:
         self.active = _BloomBank(self.nbits, self.k)
         self.aging = _BloomBank(self.nbits, self.k)
         self.active_count = 0
-        self.inserts = 0
 
     def record(self, page: int):
         self.active.add(page)
         self.active_count += 1
-        self.inserts += 1
         if self.active_count >= self.window:
             self.aging = self.active
             self.active = _BloomBank(self.nbits, self.k)
@@ -93,12 +91,10 @@ class ExactRecencyFilter:
         self.window = window
         self.queue = deque()
         self.counts = Counter()
-        self.inserts = 0
 
     def record(self, page: int):
         self.queue.append(page)
         self.counts[page] += 1
-        self.inserts += 1
         if len(self.queue) > self.window:
             old = self.queue.popleft()
             self.counts[old] -= 1

@@ -93,14 +93,13 @@ class BlockCache:
         self._touch_plru(s, way)
         return victim
 
-    def read(self, block_id: int, way: int, offset: int, size: int) -> bytes:
+    def line(self, block_id: int, way: int, write: bool = False) -> bytearray:
+        """The resident line's data, marked dirty when it is about to be
+        written."""
         s = self._set_for(block_id)
-        return bytes(s.data[way][offset:offset + size])
-
-    def write(self, block_id: int, way: int, offset: int, data: bytes):
-        s = self._set_for(block_id)
-        s.data[way][offset:offset + len(data)] = data
-        s.dirty[way] = True
+        if write:
+            s.dirty[way] = True
+        return s.data[way]
 
     def invalidate(self, block_id: int, way: int):
         """Drop a resident block, returning (dirty, data) for merging."""

@@ -38,13 +38,21 @@ def random_records(n, host_space_bytes, seed, write_fraction=0.5,
 
 def shadow_run(config, records):
     """Dispatch records while checking every read against a flat shadow
-    model of memory contents. Returns (simulator, report, mismatches)."""
+    model of memory contents. Returns (simulator, report, mismatches).
+
+    Also checks that the per-request outcomes add up to the report: their
+    latencies and stalls to the elapsed time, and their devices to the
+    foreground fast-tier accesses."""
     sim = Simulator(config)
     shadow = {}
     mismatches = 0
+    service_ns = 0
+    fast_outcomes = 0
     for seq, rec in enumerate(records):
         out = sim.dispatch(MemoryRequest(rec.kind, rec.host_addr,
                                          rec.size_bytes, seq))
+        service_ns += out.latency_ns + out.stall_ns
+        fast_outcomes += out.device == "fast"
         if rec.kind == "W":
             for i in range(rec.size_bytes):
                 shadow[rec.host_addr + i] = (seq + i) & 0xFF
@@ -54,6 +62,8 @@ def shadow_run(config, records):
             if out.data != expect:
                 mismatches += 1
     report = sim.finish()
+    assert service_ns == report["elapsed_ns"]
+    assert fast_outcomes == report["fast_reads"] + report["fast_writes"]
     return sim, report, mismatches
 
 

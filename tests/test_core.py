@@ -12,7 +12,7 @@ class TestDispatchBasics:
         out = sim.dispatch(MemoryRequest("R", 0x1000, 64, 0))
         assert out.device == "fast"
         assert out.latency_ns == sim.config.fast_read_ns
-        assert out.migrations == ()
+        assert sim.page_relocations == sim.block_relocations == 0
 
     def test_slow_touch_under_pagemove_serves_slow_and_swaps(self):
         sim = Simulator(small_config(Policy.PAGEMOVE))
@@ -20,7 +20,7 @@ class TestDispatchBasics:
         out = sim.dispatch(MemoryRequest("R", addr, 64, 0))
         assert out.device == "slow"
         assert out.latency_ns == sim.config.slow_read_ns
-        assert out.migrations and out.migrations[0][0] == "page_swap"
+        assert sim.page_relocations == 1
         assert sim.engine.busy
 
     def test_statcomb_below_threshold_copies_block(self):
@@ -28,7 +28,8 @@ class TestDispatchBasics:
         addr = (sim.config.fast_pages + 1) * 4096 + 0x200
         out = sim.dispatch(MemoryRequest("R", addr, 64, 0))
         assert out.device == "slow"
-        assert out.migrations[0] == ("block_copy", addr // 128)
+        assert sim.block_relocations == 1
+        assert sim.cache.peek(addr // 128) is not None
 
     def test_out_of_range_address_is_fatal_with_seq(self):
         sim = Simulator(small_config(Policy.PAGEMOVE))

@@ -86,12 +86,13 @@ class TestFinalize:
         assert rep["energy_slow_read_nj"] == 0.0
         assert rep["energy_slow_write_nj"] == 0.0
 
-    def test_relative_energy_against_baseline(self):
+    def test_elapsed_is_the_foreground_clock(self):
         led = make_ledger()
         led.charge("fast", "read", True, 64)
-        baseline = {"energy_total_nj": 100.0}
-        rep = led.finalize(50, 0.0, alldram_baseline=baseline)
-        assert rep["energy_rel_alldram"] == pytest.approx(4.2 / 100.0)
+        led.charge("slow", "write", False, 128)
+        led.charge_stall(7)
+        rep = led.finalize(1.0)
+        assert rep["elapsed_ns"] == rep["total_foreground_ns"] == 57
 
 
 class TestMetadataCost:

@@ -6,9 +6,10 @@ from tiersim.migration import DmaEngine
 from conftest import small_config
 
 
-def make_engine(page=4096, chunk=128, bw=8.0):
+def make_engine(page=4096, chunk=128, bw=8.0, exchange=None):
     done = []
-    eng = DmaEngine(page, chunk, bw, on_complete=done.append)
+    eng = DmaEngine(page, chunk, bw, on_complete=done.append,
+                    exchange=exchange)
     return eng, done
 
 
@@ -22,7 +23,7 @@ class TestEngine:
         eng, done = make_engine()
         eng.start_swap(10, 100, 2, 5, now_ns=0)
         eng.advance_to(0)
-        assert eng.job.progress_bytes == 0 and not done
+        assert eng.job.applied_chunks == 0 and not done
 
     def test_advance_past_completion_clamps_and_completes(self):
         eng, done = make_engine()
@@ -30,7 +31,7 @@ class TestEngine:
         eng.advance_to(10_000)
         assert eng.job is None
         assert len(done) == 1
-        assert done[0].progress_bytes == 4096
+        assert done[0].applied_chunks == 32
 
     def test_interleaved_advances_match_one_big_advance(self):
         rng = random.Random(5)
@@ -49,12 +50,12 @@ class TestEngine:
             assert done_a[0].applied_chunks == done_b[0].applied_chunks
 
     def test_chunk_exchange_sequence(self):
-        eng, _ = make_engine()
-        eng.start_swap(7, 80, 3, 2, now_ns=0)
         seen = []
-        eng.advance_to(100, exchange=seen.append)   # 100*8/2 = 400B -> 3 chunks
+        eng, _ = make_engine(exchange=seen.append)
+        eng.start_swap(7, 80, 3, 2, now_ns=0)
+        eng.advance_to(100)   # 100*8/2 = 400B -> 3 chunks
         assert seen == [0, 1, 2]
-        eng.advance_to(200, exchange=seen.append)   # 800B -> chunks 3..5
+        eng.advance_to(200)   # 800B -> chunks 3..5
         assert seen == [0, 1, 2, 3, 4, 5]
 
     def test_progress_monotone_under_time_replays(self):
@@ -69,22 +70,27 @@ class TestEngine:
         eng, _ = make_engine()
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         eng.advance_to(512)  # 2048 bytes = 16 chunks
-        assert eng.route(0) == "new"
-        assert eng.route(2047) == "new"
-        assert eng.route(2048) == "old"
+        assert eng.locate(7, 0) == 2        # copied: the new copy
+        assert eng.locate(7, 2047) == 2
+        assert eng.locate(7, 2048) == 80    # not yet copied: the old copy
         # chunk 16 is mid-copy: writes there wait for it
         assert eng.write_stall_ns(2048, now_ns=512) == 32  # chunk done at 544
         assert eng.write_stall_ns(4000, now_ns=512) == 0
         assert eng.write_stall_ns(0, now_ns=512) == 0
 
-    def test_location_for_both_sides(self):
+    def test_locate_both_sides(self):
         eng, _ = make_engine()
+        assert eng.locate(7, 0) is None      # idle engine: nothing in flight
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         # src data moves 80 -> 2; dst data moves 2 -> 80
-        assert eng.location_for(7, "old") == 80
-        assert eng.location_for(7, "new") == 2
-        assert eng.location_for(3, "old") == 2
-        assert eng.location_for(3, "new") == 80
+        assert eng.locate(7, 0) == 80
+        assert eng.locate(3, 0) == 2
+        assert eng.locate(5, 0) is None      # page not part of the swap
+        eng.advance_to(32)                   # chunk 0 copied
+        assert eng.locate(7, 0) == 2
+        assert eng.locate(3, 0) == 80
+        eng.advance_to(10_000)
+        assert eng.locate(7, 0) is None
 
 
 class TestConflictRouting:
@@ -101,7 +107,7 @@ class TestConflictRouting:
         sim, page = self._swapping_sim()
         # Advance half the swap with unrelated fast traffic.
         seq = 1
-        while sim.clock.now_ns - sim.engine.job.start_ns < 512:
+        while sim.ledger.total_foreground_ns - sim.engine.job.start_ns < 512:
             sim.dispatch(MemoryRequest("R", 0, 64, seq)); seq += 1
         out = sim.dispatch(MemoryRequest("R", page * 4096, 64, seq))
         assert out.device == "fast"   # low offsets already copied to fast
@@ -130,7 +136,7 @@ class TestConflictRouting:
         other_slow = sim.config.fast_pages + 9
         out = sim.dispatch(MemoryRequest("R", other_slow * 4096, 64, 1))
         assert out.device == "slow"
-        assert out.migrations == ()
+        assert sim.engine.job.src_host != other_slow
         assert sim.page_relocations == 1
 
     def test_completion_updates_mapping_exactly_once(self):
@@ -171,9 +177,9 @@ def test_block_copies_coexist_with_active_swap():
     sim.dispatch(MemoryRequest("R", page_a * 4096, 64, 0))        # copy in
     sim.dispatch(MemoryRequest("R", page_a * 4096 + 128, 64, 1))  # promote
     assert sim.engine.busy
-    out = sim.dispatch(MemoryRequest("R", page_b * 4096, 64, 2))
+    sim.dispatch(MemoryRequest("R", page_b * 4096, 64, 2))
     assert sim.engine.busy
-    assert out.migrations[0][0] == "block_copy"
+    assert sim.cache.peek(page_b * 32) is not None
     assert sim.block_relocations == 2
 
 

@@ -114,9 +114,9 @@ class TestDirtyData:
         c = make_cache()
         c.insert(7, bytes(range(128)))
         way = c.lookup(7)
-        c.write(7, way, 10, b"\xAA\xBB")
-        assert c.read(7, way, 10, 2) == b"\xAA\xBB"
-        assert c.read(7, way, 0, 1) == b"\x00"
+        c.line(7, way, write=True)[10:12] = b"\xAA\xBB"
+        assert c.line(7, way)[10:12] == b"\xAA\xBB"
+        assert c.line(7, way)[0:1] == b"\x00"
         dirty, data = c.invalidate(7, way)
         assert dirty and data[10:12] == b"\xAA\xBB"
 
@@ -124,7 +124,7 @@ class TestDirtyData:
         c = make_cache()
         c.insert(7, bytes(128))
         way = c.lookup(7)
-        c.read(7, way, 0, 8)
+        assert c.line(7, way)[0:8] == bytes(8)
         assert not c.sets[7 % 4].dirty[way]
 
     def test_insert_is_clean(self):
@@ -147,7 +147,8 @@ class TestSimulatorCachePaths:
         slow_page = sim.config.fast_pages + 3
         out = sim.dispatch(MemoryRequest("R", slow_page * 4096, 64, 0))
         assert out.device == "slow"
-        assert ("block_copy", slow_page * 32) in out.migrations
+        assert sim.block_relocations == 1
+        assert sim.cache.peek(slow_page * 32) is not None
         assert sim.pagetable.cached_blocks[slow_page] == 1
         assert sim.ledger.mig_slow_reads == 1 and sim.ledger.mig_fast_writes == 1
 
