@@ -10,10 +10,11 @@ import io
 import json
 import os
 import sys
+import traceback
 
-from .config import (CACHING, Policy, SimConfig, config_from_mapping,
-                     load_config_file, parse_size)
-from .core import Simulator
+from .config import (CACHING, ConfigError, Policy, SimConfig,
+                     config_from_mapping, load_config_file, parse_size)
+from .core import SimulationError, Simulator
 from .metering import REPORT_SCHEMA_VERSION, metadata_cost
 from .trace import (WORKLOAD_KINDS, TraceError, WorkloadSpec, generate,
                     load_trace, split_record, write_trace)
@@ -26,6 +27,10 @@ SWEEPABLE = {
     "fast_capacity_bytes": parse_size,
     "adaptive_window_pages": int,
 }
+
+# Exit status for a simulator defect, as opposed to a user error (1);
+# sysexits.h calls it EX_SOFTWARE.
+EXIT_DEFECT = 70
 
 
 def _add_config_flags(p):
@@ -214,12 +219,13 @@ def _policies(args):
 
 
 def _run_labeled(base, policy, records, **changes) -> dict:
-    """Report of one run; a failed run becomes a labeled entry holding the
-    policy and the error, so the remaining runs still happen."""
+    """Report of one run; a run that fails on its config or trace becomes a
+    labeled entry holding the policy and the error, so the remaining runs
+    still happen. Any other exception is a defect and propagates."""
     try:
         cfg = dataclasses.replace(config_for_policy(base, policy), **changes)
         return Simulator(cfg.validate()).run(records)
-    except Exception as exc:
+    except (ConfigError, TraceError, SimulationError) as exc:
         return {"policy": policy.value, "error": str(exc)}
 
 
@@ -301,6 +307,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        traceback.print_exc()
+        return EXIT_DEFECT
     parser.error("no command")
 
 

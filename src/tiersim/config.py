@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields
 
+from .pagetable import COUNTER_MAX
+
 
 class Policy(enum.Enum):
     STATIC = "static"
@@ -143,6 +145,10 @@ class SimConfig:
             raise ConfigError("page size must be a multiple of the block size")
         if self.fast_capacity_bytes % p or self.slow_capacity_bytes % p:
             raise ConfigError("tier capacities must be whole pages")
+        if self.cache_ways != 4:
+            raise ConfigError(
+                f"cache_ways {self.cache_ways}: the block cache is 4-way "
+                "(its pLRU tree has 3 bits)")
         if self.cache_zone_bytes >= self.fast_capacity_bytes:
             raise ConfigError("cache zone must leave room for page-managed fast memory")
         if self.policy in CACHING:
@@ -156,9 +162,13 @@ class SimConfig:
                 raise ConfigError(f"cache set count {sets} is not a power of two")
         elif self.cache_zone_bytes != 0:
             raise ConfigError(f"policy {self.policy.value} does not use a cache zone")
-        if not 1 <= self.promotion_threshold <= self.blocks_per_page:
+        # A threshold is compared with the per-page cached-block counter,
+        # which cannot count past a page's blocks or its 4-bit maximum.
+        limit = min(self.blocks_per_page, COUNTER_MAX)
+        if not 1 <= self.promotion_threshold <= limit:
             raise ConfigError(
-                f"promotion threshold must be in [1, {self.blocks_per_page}]")
+                f"promotion_threshold {self.promotion_threshold} must be in "
+                f"[1, {limit}]")
         if self.policy in MIGRATING:
             if self.fast_pages < 1:
                 raise ConfigError("no page-managed fast pages available")
@@ -170,12 +180,33 @@ class SimConfig:
             raise ConfigError("bloom window must be positive")
         if self.dma_bandwidth_bytes_per_ns <= 0:
             raise ConfigError("DMA bandwidth must be positive")
-        if min(self.fast_read_ns, self.fast_write_ns,
-               self.slow_read_ns, self.slow_write_ns) < 0:
-            raise ConfigError("latencies must be non-negative")
-        if not 1 <= self.adaptive_min_threshold <= self.adaptive_max_threshold <= self.blocks_per_page:
-            raise ConfigError("adaptive threshold bounds out of range")
+        for name in _NON_NEGATIVE_FIELDS:
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be non-negative")
+        if not 1 <= self.adaptive_min_threshold <= self.adaptive_max_threshold:
+            raise ConfigError(
+                "adaptive_min_threshold must be in [1, adaptive_max_threshold]")
+        if self.adaptive_max_threshold > limit:
+            raise ConfigError(
+                f"adaptive_max_threshold {self.adaptive_max_threshold} must "
+                f"be at most {limit}")
+        if not 0 < self.adaptive_alpha <= 1:
+            raise ConfigError("adaptive_alpha must be in (0, 1]")
+        for name in ("adaptive_lo_water", "adaptive_hi_water"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1]")
+        if self.adaptive_lo_water > self.adaptive_hi_water:
+            raise ConfigError(
+                "adaptive_lo_water must not exceed adaptive_hi_water")
         return self
+
+
+# Device numbers that are meaningless below zero.
+_NON_NEGATIVE_FIELDS = (
+    "fast_read_ns", "fast_write_ns", "slow_read_ns", "slow_write_ns",
+    "fast_read_nj", "fast_write_nj", "slow_read_nj", "slow_write_nj",
+    "fast_background_mw_per_gb",
+)
 
 
 _SIZE_FIELDS = {

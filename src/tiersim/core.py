@@ -47,9 +47,18 @@ class ServiceOutcome:
     data: bytes | None = None
 
 
+_CYCLE = bytes(range(256))
+# Byte i of write `seq` is (seq + i) & 0xFF, so a write of up to 4 KiB is one
+# slice of this pattern starting at seq & 0xFF.
+_PATTERN = _CYCLE * 17
+
+
 def write_payload(seq: int, size: int) -> bytes:
     """Deterministic bytes carried by write `seq`; tests recompute these."""
-    return bytes((seq + i) & 0xFF for i in range(size))
+    start = seq & 0xFF
+    if start + size <= len(_PATTERN):
+        return _PATTERN[start:start + size]
+    return ((_CYCLE[start:] + _CYCLE[:start]) * (size // 256 + 1))[:size]
 
 
 class Simulator:
@@ -57,14 +66,17 @@ class Simulator:
         self.config = config.validate()
         cfg = self.config
         self.ledger = MeterLedger(cfg)
+        # Geometry as plain ints, so the request path reads no config property.
+        self.page_bytes = cfg.page_size_bytes
+        self.block_bytes = cfg.block_size_bytes
         self.blocks_per_page = cfg.blocks_per_page
+        self.host_space_bytes = cfg.host_space_bytes
         # All-DRAM maps a host space larger than its fast capacity, so only
         # there can a trace's footprint outgrow the pages that exist.
         self.capacity_pages = (cfg.fast_capacity_bytes // cfg.page_size_bytes
                                + cfg.slow_pages)
         self.mem = {}                  # internal page -> bytearray
         self.touched_blocks = set()    # host block ids
-        self.requests = 0
         self.reads = 0
         self.writes = 0
         self.page_relocations = 0
@@ -80,7 +92,7 @@ class Simulator:
         self.engine = DmaEngine(cfg.page_size_bytes, cfg.block_size_bytes,
                                 cfg.dma_bandwidth_bytes_per_ns,
                                 on_complete=self._swap_completed,
-                                exchange=self._exchange_chunk)
+                                exchange=self._exchange_chunks)
         self.controller = make_controller(cfg)
         self.cache = (BlockCache(cfg.cache_sets, cfg.cache_ways,
                                  cfg.block_size_bytes)
@@ -97,16 +109,17 @@ class Simulator:
                 raise SimulationError(
                     "all-DRAM run needs fast capacity >= trace footprint "
                     f"(more than {self.capacity_pages} pages touched)")
-            buf = bytearray(self.config.page_size_bytes)
+            buf = bytearray(self.page_bytes)
             self.mem[internal_page] = buf
         return buf
 
-    def _exchange_chunk(self, chunk_index: int):
+    def _exchange_chunks(self, first: int, stop: int):
+        """Swap chunks [first, stop) of the in-flight pair in one exchange."""
         job = self.engine.job
         a = self._page_mem(job.src_internal)
         b = self._page_mem(job.dst_internal)
-        lo = chunk_index * self.config.block_size_bytes
-        hi = lo + self.config.block_size_bytes
+        lo = first * self.block_bytes
+        hi = stop * self.block_bytes
         a[lo:hi], b[lo:hi] = b[lo:hi], a[lo:hi]
 
     def _swap_completed(self, job):
@@ -122,49 +135,54 @@ class Simulator:
     # Dispatch ------------------------------------------------------------
 
     def dispatch(self, request: MemoryRequest) -> ServiceOutcome:
-        cfg = self.config
-        kind, addr, size, seq = (request.kind, request.host_addr,
-                                 request.size_bytes, request.seq)
-        if size <= 0 or size > cfg.block_size_bytes:
+        """Serve one request and describe how it was served."""
+        return self._access(request.kind, request.host_addr,
+                            request.size_bytes, request.seq, True)
+
+    def _access(self, kind, addr, size, seq, outcome):
+        """The request path of both `dispatch` and `run`. Returns the
+        ServiceOutcome when `outcome` is set, else None, so `run` neither
+        builds one nor copies the bytes of a read."""
+        block = self.block_bytes
+        if size <= 0 or size > block:
             raise TraceError(f"request {seq}: bad size {size}")
-        if addr // cfg.block_size_bytes != (addr + size - 1) // cfg.block_size_bytes:
+        if addr % block + size > block:
             raise TraceError(f"request {seq}: crosses a block boundary")
-        if addr < 0 or addr + size > cfg.host_space_bytes:
+        if addr < 0 or addr + size > self.host_space_bytes:
             raise TraceError(
                 f"request {seq}: address {addr:#x} beyond configured capacity "
-                f"({cfg.host_space_bytes:#x})")
+                f"({self.host_space_bytes:#x})")
 
-        self.requests += 1
         if kind == "R":
             self.reads += 1
         else:
             self.writes += 1
 
-        host_page = addr // cfg.page_size_bytes
-        offset_in_page = addr % cfg.page_size_bytes
-        block_index = offset_in_page // cfg.block_size_bytes
-        block_id = addr // cfg.block_size_bytes
+        host_page, offset_in_page = divmod(addr, self.page_bytes)
+        block_id = addr // block
         self.touched_blocks.add(block_id)
 
         engine = self.engine
         ledger = self.ledger
-        engine.advance_to(ledger.total_foreground_ns)
-        self.pagetable.record_access(host_page, block_index)
+        pagetable = self.pagetable
+        if engine.job is not None:
+            engine.advance_to(ledger.total_foreground_ns)
+        pagetable.record_access(host_page, offset_in_page // block)
         loc = engine.locate(host_page, offset_in_page) if engine.job else None
         in_flight = loc is not None
-        internal = loc if in_flight else self.pagetable.lookup(host_page)
+        internal = loc if in_flight else pagetable.lookup(host_page)
 
         # The cache copy, when present, is always the authoritative one.
         # Once its page is promoted and no longer in flight, it is recycled.
         if self.cache is not None:
             way = self.cache.lookup(block_id)
             if way is not None:
-                if in_flight or not self.pagetable.in_fast(internal):
+                if in_flight or not pagetable.in_fast(internal):
                     line = self.cache.line(block_id, way, write=kind == "W")
-                    return self._serve(kind, "fast", line,
-                                       addr % cfg.block_size_bytes, size, seq)
+                    return self._serve(kind, "fast", line, addr % block,
+                                       size, seq, 0, outcome)
                 dirty, data = self.cache.invalidate(block_id, way)
-                self.pagetable.drop_cached_block(host_page)
+                pagetable.drop_cached_block(host_page)
                 self.recycles += 1
                 if dirty:
                     self._write_back(internal, block_id, data)
@@ -178,29 +196,32 @@ class Simulator:
                 engine.advance_to(ledger.total_foreground_ns)
                 internal = self._locate(host_page, offset_in_page)
 
-        tier = "fast" if self.pagetable.in_fast(internal) else "slow"
-        outcome = self._serve(kind, tier, self._page_mem(internal),
-                              offset_in_page, size, seq, stall)
+        tier = "fast" if pagetable.in_fast(internal) else "slow"
+        result = self._serve(kind, tier, self._page_mem(internal),
+                             offset_in_page, size, seq, stall, outcome)
         if tier == "slow" and not in_flight:
             self._slow_policy_actions(host_page, internal, block_id,
                                       offset_in_page)
-        return outcome
+        return result
 
-    def _serve(self, kind, tier, buf, offset, size, seq, stall=0):
+    def _serve(self, kind, tier, buf, offset, size, seq, stall, outcome):
         """Charge a foreground access and move its bytes in a page or line."""
         data = None
         if kind == "R":
             latency = self.ledger.charge(tier, "read", True, size)
-            data = bytes(buf[offset:offset + size])
+            if outcome:
+                data = bytes(buf[offset:offset + size])
         else:
             latency = self.ledger.charge(tier, "write", True, size)
             buf[offset:offset + size] = write_payload(seq, size)
-        return ServiceOutcome(seq, tier, latency, stall_ns=stall, data=data)
+        if outcome:
+            return ServiceOutcome(seq, tier, latency, stall_ns=stall, data=data)
+        return None
 
     def _write_back(self, internal, block_id, data) -> str:
         """Merge a dirty cache line into its page as background traffic;
         returns the tier written."""
-        lo = (block_id % self.blocks_per_page) * self.config.block_size_bytes
+        lo = (block_id % self.blocks_per_page) * self.block_bytes
         self._page_mem(internal)[lo:lo + len(data)] = data
         tier = "fast" if self.pagetable.in_fast(internal) else "slow"
         self.ledger.charge(tier, "write", False, len(data))
@@ -233,7 +254,7 @@ class Simulator:
         self.pagetable.reset_bitmap(host_page)
         self.engine.start_swap(host_page, internal, dst_host, dst_internal,
                                self.ledger.total_foreground_ns)
-        page = self.config.page_size_bytes
+        page = self.page_bytes
         # Both pages move: each tier sees a full page of reads and writes.
         self.ledger.charge("slow", "read", False, page)
         self.ledger.charge("fast", "write", False, page)
@@ -245,7 +266,7 @@ class Simulator:
             excluded_internal=(internal, dst_internal))
 
     def _copy_block_in(self, host_page, internal, block_id, offset_in_page):
-        block = self.config.block_size_bytes
+        block = self.block_bytes
         lo = (offset_in_page // block) * block
         data = bytes(self._page_mem(internal)[lo:lo + block])
         victim = self.cache.insert(block_id, data)
@@ -263,7 +284,7 @@ class Simulator:
         self.pagetable.drop_cached_block(v_host)
         if not vdirty:
             return
-        v_offset = (vtag % self.blocks_per_page) * self.config.block_size_bytes
+        v_offset = (vtag % self.blocks_per_page) * self.block_bytes
         if self._write_back(self._locate(v_host, v_offset), vtag,
                             vdata) == "fast":
             self.recycles += 1
@@ -273,9 +294,9 @@ class Simulator:
     # Run loop --------------------------------------------------------------
 
     def run(self, records) -> dict:
+        access = self._access
         for seq, rec in enumerate(records):
-            self.dispatch(MemoryRequest(rec.kind, rec.host_addr,
-                                        rec.size_bytes, seq))
+            access(rec.kind, rec.host_addr, rec.size_bytes, seq, False)
         return self.finish()
 
     def finish(self) -> dict:
@@ -299,7 +320,7 @@ class Simulator:
             "exact_recency": cfg.exact_recency,
             "threshold_initial": cfg.promotion_threshold,
             "threshold_final": self._live_threshold(),
-            "requests": self.requests,
+            "requests": self.reads + self.writes,
             "reads": self.reads,
             "writes": self.writes,
             "footprint_pages": len({b // self.blocks_per_page
@@ -316,18 +337,17 @@ class Simulator:
 
     def peek(self, host_addr: int, size: int) -> bytes:
         """Resolve the freshest bytes for a host address without metering."""
-        cfg = self.config
-        block_id, offset = divmod(host_addr, cfg.block_size_bytes)
+        block_id, offset = divmod(host_addr, self.block_bytes)
         way = None if self.cache is None else self.cache.peek(block_id)
         if way is not None:
             buf = self.cache.line(block_id, way)
         else:
-            host_page, offset = divmod(host_addr, cfg.page_size_bytes)
+            host_page, offset = divmod(host_addr, self.page_bytes)
             buf = self.mem.get(self._locate(host_page, offset))
         return bytes(size) if buf is None else bytes(buf[offset:offset + size])
 
     def content_digest(self) -> str:
-        block = self.config.block_size_bytes
+        block = self.block_bytes
         h = hashlib.sha256()
         for block_id in sorted(self.touched_blocks):
             h.update(block_id.to_bytes(8, "little"))

@@ -3,6 +3,7 @@ calculator for the remap table and cache-zone tags."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,6 +14,18 @@ _MW_NS_TO_NJ = 1e-3
 _GIB = 1024 ** 3
 
 
+# Index of each access counter, by (tier, kind, foreground); the order is
+# MeterLedger.FG_FIELDS followed by MeterLedger.MIG_FIELDS.
+_COUNTER_INDEX = {(tier, kind, foreground): i for i, (foreground, tier, kind)
+                  in enumerate(itertools.product((True, False),
+                                                 ("fast", "slow"),
+                                                 ("read", "write")))}
+
+
+def _counter(index: int) -> property:
+    return property(lambda self: self.counts[index])
+
+
 class MeterLedger:
     """Access counters in block-sized units; energy is derived from the
     final counts so identical runs produce bit-identical numbers."""
@@ -21,29 +34,31 @@ class MeterLedger:
     MIG_FIELDS = ("mig_fast_reads", "mig_fast_writes",
                   "mig_slow_reads", "mig_slow_writes")
 
+    fast_reads, fast_writes, slow_reads, slow_writes = map(_counter, range(4))
+    (mig_fast_reads, mig_fast_writes,
+     mig_slow_reads, mig_slow_writes) = map(_counter, range(4, 8))
+
     def __init__(self, config):
         self.config = config
-        for name in self.FG_FIELDS + self.MIG_FIELDS:
-            setattr(self, name, 0)
+        self.block_size = config.block_size_bytes
+        self.counts = [0] * len(_COUNTER_INDEX)
+        # Latency per unit of each counter; background traffic takes none.
+        self.unit_ns = [config.fast_read_ns, config.fast_write_ns,
+                        config.slow_read_ns, config.slow_write_ns, 0, 0, 0, 0]
         # The simulated clock: foreground accesses and write stalls advance it.
         self.total_foreground_ns = 0
         self.stall_ns = 0
         self.write_stalls = 0
         self.migrated_bytes = 0
 
-    def _units(self, nbytes: int) -> int:
-        return max(1, math.ceil(nbytes / self.config.block_size_bytes))
-
     def charge(self, tier: str, kind: str, foreground: bool, nbytes: int):
-        units = self._units(nbytes)
-        prefix = "" if foreground else "mig_"
-        field = f"{prefix}{tier}_{kind}s"
-        setattr(self, field, getattr(self, field) + units)
-        if foreground:
-            latency = getattr(self.config, f"{tier}_{kind}_ns")
-            self.total_foreground_ns += latency * units
-            return latency * units
-        return 0
+        """Count an access and return the foreground time it took."""
+        units = max(1, math.ceil(nbytes / self.block_size))
+        index = _COUNTER_INDEX[tier, kind, foreground]
+        self.counts[index] += units
+        latency = self.unit_ns[index] * units
+        self.total_foreground_ns += latency
+        return latency
 
     def charge_stall(self, ns: int):
         self.stall_ns += ns

@@ -40,8 +40,8 @@ class DmaEngine:
         self.chunk_bytes = chunk_bytes
         self.bandwidth = bandwidth
         self.on_complete = on_complete   # called with the finished SwapJob
-        # Called with each chunk index as it lands, to swap that chunk of
-        # content between the two pages.
+        # Called with (first, stop) when chunks [first, stop) land, to swap
+        # those chunks of content between the two pages.
         self.exchange = exchange
         self.job = None
         self.completed_swaps = 0
@@ -60,25 +60,19 @@ class DmaEngine:
                            now_ns, self.page_bytes, self.chunk_bytes)
         return self.job
 
-    def _chunks_done_at(self, now_ns: int) -> int:
-        job = self.job
-        elapsed = now_ns - job.start_ns
-        if elapsed <= 0:
-            return 0
-        if elapsed * self.bandwidth / 2 >= self.page_bytes:
-            return job.total_chunks
-        return int(elapsed * self.bandwidth / 2 // self.chunk_bytes)
-
     def advance_to(self, now_ns: int):
         """Apply chunk copies up to `now_ns`; fire completion when done."""
         job = self.job
         if job is None:
             return
-        done = self._chunks_done_at(now_ns)
-        if self.exchange is not None:
-            for k in range(job.applied_chunks, done):
-                self.exchange(k)
-        job.applied_chunks = max(job.applied_chunks, done)
+        # Each direction has moved half of the bytes the engine carried.
+        moved = (now_ns - job.start_ns) * self.bandwidth / 2
+        done = (job.total_chunks if moved >= self.page_bytes
+                else int(moved // self.chunk_bytes))
+        if done > job.applied_chunks:
+            if self.exchange is not None:
+                self.exchange(job.applied_chunks, done)
+            job.applied_chunks = done
         if job.applied_chunks >= job.total_chunks:
             self.job = None
             self.completed_swaps += 1

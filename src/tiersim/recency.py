@@ -32,20 +32,25 @@ class _BloomBank:
         self.nbits = nbits
         self.k = k
 
-    def _positions(self, key: int):
-        h1 = mix64(key)
-        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
-        for i in range(self.k):
-            yield ((h1 + i * h2) & 0xFFFFFFFFFFFFFFFF) % self.nbits
-
+    # Double hashing: probe i is h1 + i * h2 (mod 2**64), taken mod nbits.
     def add(self, key: int):
-        for pos in self._positions(key):
-            self.bits[pos >> 3] |= 1 << (pos & 7)
+        bits, nbits = self.bits, self.nbits
+        h = mix64(key)
+        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
+        for _ in range(self.k):
+            pos = h % nbits
+            bits[pos >> 3] |= 1 << (pos & 7)
+            h = (h + h2) & 0xFFFFFFFFFFFFFFFF
 
     def __contains__(self, key: int) -> bool:
-        for pos in self._positions(key):
-            if not self.bits[pos >> 3] & (1 << (pos & 7)):
+        bits, nbits = self.bits, self.nbits
+        h = mix64(key)
+        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
+        for _ in range(self.k):
+            pos = h % nbits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
+            h = (h + h2) & 0xFFFFFFFFFFFFFFFF
         return True
 
 

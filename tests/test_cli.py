@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+from tiersim import Simulator
 from tiersim.cli import main
 
 BASE = ["--fast-size", "256KiB", "--slow-size", "1MiB", "--bloom-window", "16"]
@@ -72,6 +73,18 @@ class TestRun:
         assert "error" in by["statcomb"]
         assert by["pagemove"]["requests"] == 1
 
+    def test_defect_exits_70_with_traceback(self, tmp_trace, capsys,
+                                            monkeypatch):
+        def broken_run(self, records):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(Simulator, "run", broken_run)
+        trace = tmp_trace(["R 0x0"])
+        rc = run_cli("run", *BASE, "--trace", trace, "--policy", "pagemove")
+        assert rc == 70
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "broken invariant" in err
+
     def test_missing_workload_errors(self, capsys):
         rc = run_cli("run", *BASE, "--policy", "pagemove")
         assert rc == 1
@@ -110,6 +123,17 @@ class TestSweep:
             assert {"elapsed_ns", "slow_writes_total", "page_relocations",
                     "block_relocations"} <= rep.keys()
 
+    def test_threshold_past_the_counter_is_a_config_error(self, tmp_path):
+        out = tmp_path / "s.json"
+        rc = run_cli("sweep", *BASE, *CACHE, "--gen", "zipfian",
+                     "--pages", "128", "--requests", "500",
+                     "--policy", "statcomb", "--param", "promotion_threshold",
+                     "--values", "15,16", "--out", str(out))
+        assert rc == 1
+        by = {r["sweep_value"]: r
+              for r in json.loads(out.read_text())["reports"]}
+        assert "error" not in by[15]
+        assert "promotion_threshold" in by[16]["error"]
 
     def test_sweep_accepts_size_values(self, tmp_path):
         out = tmp_path / "s.json"

@@ -3,6 +3,7 @@ import pytest
 from tiersim.config import (ConfigError, Policy, SimConfig,
                             config_from_mapping, format_size,
                             load_config_file, parse_size)
+from tiersim.pagetable import COUNTER_MAX
 
 
 class TestParseSize:
@@ -98,3 +99,43 @@ class TestGeometry:
         cfg = SimConfig(policy=Policy.PAGEMOVE, fast_capacity_bytes=256 * 1024,
                         slow_capacity_bytes=256 * 1024, bloom_window=8)
         assert cfg.validate() is cfg
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field,values", [
+        ("cache_ways", [2, 8]),
+        ("adaptive_alpha", [0.0, -0.25, 1.5]),
+        ("adaptive_lo_water", [-0.1, 1.1]),
+        ("adaptive_hi_water", [-0.1, 1.1]),
+        ("fast_read_nj", [-1.0]),
+        ("fast_write_nj", [-1.0]),
+        ("slow_read_nj", [-1.0]),
+        ("slow_write_nj", [-1.0]),
+        ("fast_background_mw_per_gb", [-1.0]),
+    ])
+    def test_out_of_range_value_names_its_field(self, field, values):
+        for value in values:
+            with pytest.raises(ConfigError, match=field):
+                SimConfig(**{field: value}).validate()
+
+    def test_watermarks_must_be_ordered(self):
+        with pytest.raises(ConfigError, match="adaptive_lo_water"):
+            SimConfig(adaptive_lo_water=0.8, adaptive_hi_water=0.5).validate()
+        SimConfig(adaptive_lo_water=0.5, adaptive_hi_water=0.5).validate()
+
+    @pytest.mark.parametrize("field", ["promotion_threshold",
+                                       "adaptive_max_threshold"])
+    def test_threshold_past_the_counter_is_rejected(self, field):
+        # 32 blocks per page, but the 4-bit counter stops at 15.
+        assert SimConfig().blocks_per_page > COUNTER_MAX == 15
+        SimConfig(**{field: COUNTER_MAX}).validate()
+        with pytest.raises(ConfigError, match=field):
+            SimConfig(**{field: 16}).validate()
+
+    def test_threshold_bounded_by_small_pages(self):
+        cfg = SimConfig(page_size_bytes=512, promotion_threshold=4,
+                        adaptive_max_threshold=4)
+        assert cfg.validate() is cfg
+        with pytest.raises(ConfigError, match="promotion_threshold"):
+            SimConfig(page_size_bytes=512, promotion_threshold=5,
+                      adaptive_max_threshold=4).validate()

@@ -2,6 +2,7 @@ import pytest
 
 from tiersim import (ConfigError, MemoryRequest, Policy, SimConfig, Simulator,
                      TraceError, TraceRecord, run_trace)
+from tiersim.core import write_payload
 
 from conftest import random_records, shadow_run, small_config
 
@@ -83,6 +84,42 @@ class TestRun:
         assert run_trace(recs, cfg) == run_trace(recs, cfg)
         other = run_trace(recs, small_config(Policy.STATIC, rng_seed=6))
         assert other != run_trace(recs, cfg)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_run_matches_a_dispatch_loop(self, policy):
+        cfg = small_config(policy, promotion_threshold=2, bloom_window=8,
+                           dma_bandwidth_bytes_per_ns=2.0)
+        if policy is Policy.ALLDRAM:
+            cfg = small_config(policy, fast_capacity_bytes=1280 * 1024,
+                               slow_capacity_bytes=0)
+        recs = random_records(4000, cfg.host_space_bytes, seed=15)
+        looped = Simulator(cfg)
+        for seq, rec in enumerate(recs):
+            looped.dispatch(MemoryRequest(rec.kind, rec.host_addr,
+                                          rec.size_bytes, seq))
+        ran = Simulator(cfg)
+        assert ran.run(recs) == looped.finish()
+        assert ran.content_digest() == looped.content_digest()
+
+
+class TestWritePayload:
+    @staticmethod
+    def reference(seq, size):
+        return bytes((seq + i) & 0xFF for i in range(size))
+
+    @pytest.mark.parametrize("block", [128, 512, 4096])
+    def test_every_start_and_size_up_to_a_block(self, block):
+        wrong = []
+        for seq in range(1000 * 256, 1001 * 256):
+            expected = self.reference(seq, block)
+            wrong += [(seq, size) for size in range(1, block + 1)
+                      if write_payload(seq, size) != expected[:size]]
+        assert not wrong
+
+    def test_sizes_beyond_the_precomputed_pattern(self):
+        for seq in (0, 1, 255, 333):
+            for size in (4097, 4353, 8192, 65536):
+                assert write_payload(seq, size) == self.reference(seq, size)
 
 
 class TestShadowContent:

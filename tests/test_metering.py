@@ -43,6 +43,17 @@ class TestCharge:
         assert led.slow_reads == 1
         assert led.total_foreground_ns == 100
 
+    @pytest.mark.parametrize("nbytes,units", [(0, 1), (1, 1), (128, 1),
+                                              (129, 2)])
+    def test_units_round_up_to_whole_blocks(self, nbytes, units):
+        led = make_ledger()
+        assert led.charge("slow", "write", True, nbytes) == 300 * units
+        assert led.slow_writes == units
+        assert led.total_foreground_ns == 300 * units
+        assert led.charge("fast", "read", False, nbytes) == 0
+        assert led.mig_fast_reads == units
+        assert led.total_foreground_ns == 300 * units
+
 
 class TestBackgroundEnergy:
     def test_one_gib_for_one_second_is_30_mj(self):

@@ -51,12 +51,13 @@ class TestEngine:
 
     def test_chunk_exchange_sequence(self):
         seen = []
-        eng, _ = make_engine(exchange=seen.append)
+        eng, _ = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         eng.advance_to(100)   # 100*8/2 = 400B -> 3 chunks
-        assert seen == [0, 1, 2]
+        assert seen == [(0, 3)]
+        eng.advance_to(100)   # no new chunk, no exchange
         eng.advance_to(200)   # 800B -> chunks 3..5
-        assert seen == [0, 1, 2, 3, 4, 5]
+        assert seen == [(0, 3), (3, 6)]
 
     def test_progress_monotone_under_time_replays(self):
         eng, _ = make_engine()

@@ -1,6 +1,7 @@
 import random
 
 from tiersim import MemoryRequest, Policy, Simulator
+from tiersim.pagetable import COUNTER_MAX
 from tiersim.subcache import BlockCache
 
 from conftest import small_config
@@ -139,7 +140,7 @@ class TestSimulatorCachePaths:
 
     def _sim(self):
         # threshold high enough that pages never promote in these tests
-        return Simulator(small_config(Policy.STATCOMB, promotion_threshold=30,
+        return Simulator(small_config(Policy.STATCOMB, promotion_threshold=COUNTER_MAX,
                                       bloom_window=8))
 
     def test_miss_copies_block_and_counts(self):
@@ -197,7 +198,7 @@ class TestRecycling:
                                       bloom_window=8))
 
     def test_block_of_still_slow_page_not_evicted(self):
-        sim = Simulator(small_config(Policy.STATCOMB, promotion_threshold=30,
+        sim = Simulator(small_config(Policy.STATCOMB, promotion_threshold=COUNTER_MAX,
                                      bloom_window=8))
         addr = (sim.config.fast_pages + 1) * 4096
         sim.dispatch(MemoryRequest("R", addr, 64, 0))
