@@ -5,7 +5,7 @@ from .config import ConfigError, Policy, SimConfig, parse_size
 from .core import MemoryRequest, ServiceOutcome, SimulationError, Simulator, run_trace
 from .metering import MetadataCostReport, metadata_cost
 from .oracle import oracle_run
-from .trace import (TraceError, TraceRecord, WorkloadSpec, generate,
+from .trace import (Trace, TraceError, TraceRecord, WorkloadSpec, generate,
                     load_trace, parse_trace, write_trace)
 
 __version__ = "0.1.0"
@@ -14,6 +14,6 @@ __all__ = [
     "ConfigError", "Policy", "SimConfig", "parse_size",
     "MemoryRequest", "ServiceOutcome", "SimulationError", "Simulator",
     "run_trace", "MetadataCostReport", "metadata_cost", "oracle_run",
-    "TraceError", "TraceRecord", "WorkloadSpec", "generate", "load_trace",
+    "Trace", "TraceError", "TraceRecord", "WorkloadSpec", "generate", "load_trace",
     "parse_trace", "write_trace",
 ]

@@ -17,7 +17,7 @@ from .config import (CACHING, ConfigError, Policy, SimConfig,
 from .core import SimulationError, Simulator
 from .metering import REPORT_SCHEMA_VERSION, metadata_cost
 from .trace import (WORKLOAD_KINDS, TraceError, WorkloadSpec, generate,
-                    load_trace, split_record, write_trace)
+                    load_trace, write_trace)
 
 SWEEPABLE = {
     "promotion_threshold": int,
@@ -167,13 +167,7 @@ def workload_records(args, base: SimConfig):
         zipf_s=args.zipf_s,
         seed=args.gen_seed,
     )
-    records = generate(spec)
-    if args.req_size > base.block_size_bytes:
-        records = [piece for rec in records
-                   for piece in split_record(rec.kind, rec.host_addr,
-                                             rec.size_bytes,
-                                             base.block_size_bytes)]
-    return records
+    return generate(spec, base.block_size_bytes)
 
 
 def _comparison(reports):

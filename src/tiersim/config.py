@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 
 from .pagetable import COUNTER_MAX
@@ -139,66 +140,65 @@ class SimConfig:
 
     def validate(self) -> "SimConfig":
         p = self.page_size_bytes
-        if p <= 0 or (p & (p - 1)) != 0:
-            raise ConfigError(f"page size {p} is not a power of two")
-        if self.block_size_bytes <= 0 or p % self.block_size_bytes != 0:
-            raise ConfigError("page size must be a multiple of the block size")
-        if self.fast_capacity_bytes % p or self.slow_capacity_bytes % p:
-            raise ConfigError("tier capacities must be whole pages")
-        if self.cache_ways != 4:
-            raise ConfigError(
-                f"cache_ways {self.cache_ways}: the block cache is 4-way "
-                "(its pLRU tree has 3 bits)")
-        if self.cache_zone_bytes >= self.fast_capacity_bytes:
-            raise ConfigError("cache zone must leave room for page-managed fast memory")
+        _need(p > 0 and p & (p - 1) == 0,
+              f"page_size_bytes: page size {p} is not a power of two")
+        _need(self.block_size_bytes > 0 and p % self.block_size_bytes == 0,
+              "block_size_bytes: page size must be a multiple of the block size")
+        for name in ("fast_capacity_bytes", "slow_capacity_bytes"):
+            _need(getattr(self, name) % p == 0,
+                  f"{name}: tier capacities must be whole pages")
+        _need(self.cache_ways == 4, f"cache_ways {self.cache_ways}: the block "
+              "cache is 4-way (its pLRU tree has 3 bits)")
+        zone = self.cache_zone_bytes
+        _need(zone < self.fast_capacity_bytes, "cache_zone_bytes: cache zone "
+              "must leave room for page-managed fast memory")
         if self.policy in CACHING:
-            if self.cache_zone_bytes <= 0:
-                raise ConfigError(f"{self.policy.value} requires a non-empty cache zone")
-            line = self.block_size_bytes * self.cache_ways
-            if self.cache_zone_bytes % line:
-                raise ConfigError("cache zone must be a multiple of block_size * ways")
+            _need(zone > 0, f"cache_zone_bytes: {self.policy.value} requires "
+                  "a non-empty cache zone")
+            _need(zone % (self.block_size_bytes * self.cache_ways) == 0,
+                  "cache_zone_bytes: cache zone must be a multiple of "
+                  "block_size * ways")
             sets = self.cache_sets
-            if sets & (sets - 1):
-                raise ConfigError(f"cache set count {sets} is not a power of two")
-        elif self.cache_zone_bytes != 0:
-            raise ConfigError(f"policy {self.policy.value} does not use a cache zone")
+            _need(sets & (sets - 1) == 0, "cache_zone_bytes: cache set count "
+                  f"{sets} is not a power of two")
+        else:
+            _need(zone == 0, f"cache_zone_bytes: policy {self.policy.value} "
+                  "does not use a cache zone")
         # A threshold is compared with the per-page cached-block counter,
         # which cannot count past a page's blocks or its 4-bit maximum.
         limit = min(self.blocks_per_page, COUNTER_MAX)
-        if not 1 <= self.promotion_threshold <= limit:
-            raise ConfigError(
-                f"promotion_threshold {self.promotion_threshold} must be in "
-                f"[1, {limit}]")
+        _need(1 <= self.promotion_threshold <= limit,
+              f"promotion_threshold {self.promotion_threshold} must be in "
+              f"[1, {limit}]")
         if self.policy in MIGRATING:
-            if self.fast_pages < 1:
-                raise ConfigError("no page-managed fast pages available")
-            if self.bloom_window >= self.fast_pages:
-                raise ConfigError(
-                    "bloom window must be smaller than the fast page count "
-                    "or the victim search cannot terminate")
-        if self.bloom_window < 1:
-            raise ConfigError("bloom window must be positive")
-        if self.dma_bandwidth_bytes_per_ns <= 0:
-            raise ConfigError("DMA bandwidth must be positive")
+            _need(self.fast_pages >= 1, "fast_capacity_bytes: no page-managed "
+                  "fast pages available")
+            _need(self.bloom_window < self.fast_pages, "bloom_window: bloom "
+                  "window must be smaller than the fast page count or the "
+                  "victim search cannot terminate")
+        _need(self.bloom_window >= 1, "bloom_window: bloom window must be positive")
+        bandwidth = self.dma_bandwidth_bytes_per_ns
+        _need(math.isfinite(bandwidth) and bandwidth > 0,
+              "dma_bandwidth_bytes_per_ns: DMA bandwidth must be positive and "
+              f"finite, got {bandwidth}")
         for name in _NON_NEGATIVE_FIELDS:
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if not 1 <= self.adaptive_min_threshold <= self.adaptive_max_threshold:
-            raise ConfigError(
-                "adaptive_min_threshold must be in [1, adaptive_max_threshold]")
-        if self.adaptive_max_threshold > limit:
-            raise ConfigError(
-                f"adaptive_max_threshold {self.adaptive_max_threshold} must "
-                f"be at most {limit}")
-        if not 0 < self.adaptive_alpha <= 1:
-            raise ConfigError("adaptive_alpha must be in (0, 1]")
+            _need(getattr(self, name) >= 0, f"{name} must be non-negative")
+        _need(1 <= self.adaptive_min_threshold <= self.adaptive_max_threshold,
+              "adaptive_min_threshold must be in [1, adaptive_max_threshold]")
+        _need(self.adaptive_max_threshold <= limit,
+              f"adaptive_max_threshold {self.adaptive_max_threshold} must be "
+              f"at most {limit}")
+        _need(0 < self.adaptive_alpha <= 1, "adaptive_alpha must be in (0, 1]")
         for name in ("adaptive_lo_water", "adaptive_hi_water"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        if self.adaptive_lo_water > self.adaptive_hi_water:
-            raise ConfigError(
-                "adaptive_lo_water must not exceed adaptive_hi_water")
+            _need(0 <= getattr(self, name) <= 1, f"{name} must be in [0, 1]")
+        _need(self.adaptive_lo_water <= self.adaptive_hi_water,
+              "adaptive_lo_water must not exceed adaptive_hi_water")
         return self
+
+
+def _need(ok: bool, message: str):
+    if not ok:
+        raise ConfigError(message)
 
 
 # Device numbers that are meaningless below zero.

@@ -23,7 +23,7 @@ from .pagetable import PageTable
 from .policies import COPY_BLOCK, TRY_SWAP, make_controller, slow_touch_action
 from .recency import make_recency_filter
 from .subcache import BlockCache
-from .trace import TraceError
+from .trace import Trace, TraceError
 
 
 class SimulationError(RuntimeError):
@@ -294,9 +294,12 @@ class Simulator:
     # Run loop --------------------------------------------------------------
 
     def run(self, records) -> dict:
+        """Serve a `Trace`, or any iterable of records packed into one."""
+        trace = records if isinstance(records, Trace) else Trace(records)
         access = self._access
-        for seq, rec in enumerate(records):
-            access(rec.kind, rec.host_addr, rec.size_bytes, seq, False)
+        for seq, (kind, addr, size) in enumerate(
+                zip(trace.kinds, trace.addrs, trace.sizes)):
+            access(kind, addr, size, seq, False)
         return self.finish()
 
     def finish(self) -> dict:

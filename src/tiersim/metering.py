@@ -84,23 +84,12 @@ class MeterLedger:
     def finalize(self, background_gib: float) -> dict:
         elapsed_ns = self.total_foreground_ns
         energy = self.energy_breakdown(elapsed_ns, background_gib)
-        total_energy = (energy["energy_fast_background_nj"]
-                        + energy["energy_fast_read_nj"]
-                        + energy["energy_fast_write_nj"]
-                        + energy["energy_slow_read_nj"]
-                        + energy["energy_slow_write_nj"])
+        total_energy = sum(energy.values())   # in energy_breakdown's order
         fg_accesses = (self.fast_reads + self.fast_writes
                        + self.slow_reads + self.slow_writes)
         fast_hits = self.fast_reads + self.fast_writes
-        report = {
-            "fast_reads": self.fast_reads,
-            "fast_writes": self.fast_writes,
-            "slow_reads": self.slow_reads,
-            "slow_writes": self.slow_writes,
-            "mig_fast_reads": self.mig_fast_reads,
-            "mig_fast_writes": self.mig_fast_writes,
-            "mig_slow_reads": self.mig_slow_reads,
-            "mig_slow_writes": self.mig_slow_writes,
+        report = dict(zip(self.FG_FIELDS + self.MIG_FIELDS, self.counts))
+        report.update({
             "foreground_accesses": fg_accesses,
             "fast_hit_fraction": fast_hits / fg_accesses if fg_accesses else 1.0,
             "slow_writes_total": self.slow_writes + self.mig_slow_writes,
@@ -109,7 +98,7 @@ class MeterLedger:
             "stall_ns": self.stall_ns,
             "total_foreground_ns": self.total_foreground_ns,
             "elapsed_ns": elapsed_ns,
-        }
+        })
         report.update(energy)
         report["energy_total_nj"] = total_energy
         return report

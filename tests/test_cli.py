@@ -85,6 +85,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert "Traceback" in err and "broken invariant" in err
 
+    def test_address_past_the_trace_columns_is_a_trace_error(
+            self, tmp_trace, capsys):
+        trace = tmp_trace(["R 0x0", "R 0x10000000000000000"])
+        rc = run_cli("run", *BASE, "--trace", trace, "--policy", "pagemove")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:")
+        assert "Traceback" not in err
+
+    def test_non_positive_block_size_is_a_trace_error(self, tmp_trace,
+                                                       capsys):
+        trace = tmp_trace(["R 0x0"])
+        for block in ("0", "-128"):
+            rc = run_cli("run", *BASE, "--block-size", block, "--trace",
+                         trace, "--policy", "pagemove")
+            assert rc == 1
+            assert "block size" in capsys.readouterr().err
+
     def test_missing_workload_errors(self, capsys):
         rc = run_cli("run", *BASE, "--policy", "pagemove")
         assert rc == 1
@@ -155,6 +173,15 @@ class TestGen:
         assert rc == 0
         from tiersim import load_trace
         assert len(load_trace(str(out))) == 100
+
+    def test_gz_output_is_compressed(self, tmp_path):
+        import gzip
+        out = tmp_path / "t.trc.gz"
+        rc = run_cli("gen", "--gen", "zipfian", "--pages", "16",
+                     "--requests", "50", "--out", str(out))
+        assert rc == 0
+        with gzip.open(out, "rt") as fh:
+            assert len(fh.read().splitlines()) == 50
 
     def test_large_request_size_is_split(self, tmp_path):
         out = tmp_path / "r.json"

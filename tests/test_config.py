@@ -139,3 +139,46 @@ class TestValidation:
         with pytest.raises(ConfigError, match="promotion_threshold"):
             SimConfig(page_size_bytes=512, promotion_threshold=5,
                       adaptive_max_threshold=4).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_dma_bandwidth_is_rejected(self, value):
+        with pytest.raises(ConfigError, match="dma_bandwidth_bytes_per_ns"):
+            SimConfig(dma_bandwidth_bytes_per_ns=value).validate()
+
+    @pytest.mark.parametrize("field,wording,overrides", [
+        ("page_size_bytes", "is not a power of two",
+         dict(page_size_bytes=3000)),
+        ("block_size_bytes", "multiple of the block size",
+         dict(block_size_bytes=3000)),
+        ("fast_capacity_bytes", "whole pages",
+         dict(fast_capacity_bytes=256 * 1024 + 1)),
+        ("slow_capacity_bytes", "whole pages",
+         dict(slow_capacity_bytes=1024 * 1024 + 1)),
+        ("cache_zone_bytes", "leave room",
+         dict(policy=Policy.STATCOMB, cache_zone_bytes=256 * 1024)),
+        ("cache_zone_bytes", "requires a non-empty cache zone",
+         dict(policy=Policy.STATCOMB)),
+        ("cache_zone_bytes", "multiple of block_size",
+         dict(policy=Policy.STATCOMB, cache_zone_bytes=1000)),
+        ("cache_zone_bytes", "set count 3",
+         dict(policy=Policy.STATCOMB, cache_zone_bytes=3 * 512)),
+        ("cache_zone_bytes", "does not use a cache zone",
+         dict(policy=Policy.PAGEMOVE, cache_zone_bytes=64 * 1024)),
+        ("fast_capacity_bytes", "no page-managed fast pages",
+         dict(policy=Policy.STATCOMB, fast_capacity_bytes=4096,
+              cache_zone_bytes=2048)),
+        ("bloom_window", "victim search cannot terminate",
+         dict(policy=Policy.PAGEMOVE, bloom_window=64)),
+        ("bloom_window", "must be positive",
+         dict(policy=Policy.STATIC, bloom_window=0)),
+        ("dma_bandwidth_bytes_per_ns", "DMA bandwidth must be positive",
+         dict(dma_bandwidth_bytes_per_ns=0.0)),
+    ])
+    def test_structural_error_names_its_field(self, field, wording,
+                                              overrides):
+        kwargs = dict(fast_capacity_bytes=256 * 1024,
+                      slow_capacity_bytes=1024 * 1024, bloom_window=16)
+        kwargs.update(overrides)
+        with pytest.raises(ConfigError, match=field) as info:
+            SimConfig(**kwargs).validate()
+        assert wording in str(info.value)

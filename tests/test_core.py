@@ -1,7 +1,7 @@
 import pytest
 
 from tiersim import (ConfigError, MemoryRequest, Policy, SimConfig, Simulator,
-                     TraceError, TraceRecord, run_trace)
+                     Trace, TraceError, TraceRecord, run_trace)
 from tiersim.core import write_payload
 
 from conftest import random_records, shadow_run, small_config
@@ -100,6 +100,30 @@ class TestRun:
         ran = Simulator(cfg)
         assert ran.run(recs) == looped.finish()
         assert ran.content_digest() == looped.content_digest()
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_packed_trace_runs_like_its_list(self, policy):
+        cfg = small_config(policy, promotion_threshold=2, bloom_window=8,
+                           dma_bandwidth_bytes_per_ns=2.0)
+        if policy is Policy.ALLDRAM:
+            cfg = small_config(policy, fast_capacity_bytes=1280 * 1024,
+                               slow_capacity_bytes=0)
+        trace = Trace(random_records(4000, cfg.host_space_bytes, seed=16))
+        looped = Simulator(cfg)
+        for seq, rec in enumerate(trace):
+            looped.dispatch(MemoryRequest(rec.kind, rec.host_addr,
+                                          rec.size_bytes, seq))
+        expected = looped.finish(), looped.content_digest()
+        for records in (trace, list(trace)):
+            sim = Simulator(cfg)
+            assert (sim.run(records), sim.content_digest()) == expected
+
+    def test_unpackable_record_is_a_trace_error(self):
+        sim = Simulator(small_config(Policy.PAGEMOVE))
+        with pytest.raises(TraceError, match="request 1"):
+            sim.run([TraceRecord("R", 0, 64), TraceRecord("R", 1 << 64, 64)])
+        with pytest.raises(TraceError, match="request 0: X 0x0 64 does not"):
+            sim.run([TraceRecord("X", 0, 64)])
 
 
 class TestWritePayload:

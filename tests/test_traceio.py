@@ -1,10 +1,13 @@
 import gzip
 import io
+import random
+import tracemalloc
 
 import pytest
 
-from tiersim.trace import (TraceError, TraceRecord, WorkloadSpec, generate,
-                           load_trace, parse_trace, split_record, write_trace)
+from tiersim.trace import (Trace, TraceError, TraceRecord, WorkloadSpec,
+                           generate, load_trace, open_trace, parse_trace,
+                           split_record, write_trace)
 
 
 def parse_lines(*lines, block=128):
@@ -59,6 +62,119 @@ class TestParse:
         path = tmp_path / "t.trc"
         write_trace(str(path), recs)
         assert load_trace(str(path)) == recs
+
+    def test_address_past_the_column_names_its_line(self):
+        with pytest.raises(TraceError, match="line 2: R 0x10000000000000000 64 "
+                           "does not fit"):
+            parse_lines("R 0x0", "R 0x10000000000000000")
+        with pytest.raises(TraceError, match="line 1: W 0xffffffffffffffc0 65"):
+            parse_lines("W 0xffffffffffffffc0 65")
+        recs = parse_lines("W 0xffffffffffffffc0 64")
+        assert recs == [TraceRecord("W", 0xFFFFFFFFFFFFFFC0, 64)]
+
+    def test_size_past_the_column_names_its_line(self):
+        with pytest.raises(TraceError, match=f"line 1: R 0x0 {1 << 32} does"):
+            parse_lines(f"R 0x0 {1 << 32}")
+
+    def test_missing_address_names_its_line(self):
+        with pytest.raises(TraceError, match="line 2: expected"):
+            parse_lines("R 0x0", "W")
+
+
+def old_parse(lines, block=128):
+    """Reference parser: a plain list of TraceRecords split at blocks."""
+    out = []
+    for raw in lines:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        addr = int(parts[1], 16)
+        size = int(parts[2]) if len(parts) == 3 else 64
+        while size > 0:
+            take = min(size, block - addr % block)
+            out.append(TraceRecord(parts[0].upper(), addr, take))
+            addr += take
+            size -= take
+    return out
+
+
+def canonical_lines(n, seed):
+    rng = random.Random(seed)
+    return [f"{rng.choice('RW')} {rng.randrange(1 << 30):#x} "
+            f"{rng.choice([8, 64, 128, 300])}" for _ in range(n)]
+
+
+def write_lines(path, lines):
+    with open_trace(path, "wt") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+class TestPackedTrace:
+    INPUTS = [
+        ["R 0x1000"],
+        ["W 0x10f8 16"],
+        ["R 0x0FF0 300"],
+        ["# header", "", "R 0x40  # trailing", "  "],
+        ["R 0x1000 64", "W 0x2000 32"],
+        canonical_lines(500, seed=3),
+    ]
+
+    @pytest.mark.parametrize("lines", INPUTS)
+    def test_views_agree_with_the_old_parser(self, lines):
+        ref = old_parse(lines)
+        trace = parse_trace(io.StringIO("\n".join(lines)))
+        assert isinstance(trace, Trace)
+        assert len(trace) == len(ref)
+        assert [trace[i] for i in range(len(ref))] == ref
+        assert trace[-1] == ref[-1]
+        assert list(trace) == ref
+        assert trace == ref and ref == trace
+
+    def test_resident_bytes_per_record(self, tmp_path):
+        path = tmp_path / "t.trc"
+        write_lines(path, [f"{'RW'[i % 2]} {i * 64:#x} 64"
+                           for i in range(20_000)])
+        tracemalloc.start()
+        try:
+            trace = load_trace(str(path))
+            resident = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 20_000
+        assert resident / len(trace) <= 16
+
+    @pytest.mark.parametrize("name", ["t.trc", "t.trc.gz"])
+    def test_write_reproduces_the_loaded_file(self, tmp_path, name):
+        # Split records, so each line of the file loads as one record.
+        lines = [rec.line() for rec in old_parse(canonical_lines(2000, 4))]
+        src, dst = tmp_path / name, tmp_path / f"copy-{name}"
+        write_lines(src, lines)
+        write_trace(str(dst), load_trace(str(src)))
+        with open_trace(src) as a, open_trace(dst) as b:
+            assert a.read() == b.read()
+
+    def test_records_outside_the_columns_are_trace_errors(self):
+        ok = TraceRecord("R", 0, 64)
+        for bad in (TraceRecord("R", 1 << 64, 64), TraceRecord("R", -64, 64),
+                    TraceRecord("W", 0, 1 << 32), TraceRecord("W", 0, -1),
+                    TraceRecord("r", 0, 64)):
+            with pytest.raises(TraceError, match="request 1"):
+                Trace([ok, bad])
+
+    def test_generate_splits_like_split_record(self):
+        spec = WorkloadSpec(kind="sequential", footprint_bytes=4 * 4096,
+                            request_count=20, request_bytes=512, seed=2)
+        pieces = [p for r in generate(spec)
+                  for p in split_record(r.kind, r.host_addr, r.size_bytes)]
+        assert generate(spec, 128) == pieces
+        assert len(pieces) == 80
+
+    def test_generate_returns_a_trace(self):
+        spec = WorkloadSpec(kind="zipfian", footprint_bytes=64 * 4096,
+                            request_count=300, seed=3)
+        trace = generate(spec)
+        assert isinstance(trace, Trace)
+        assert Trace(list(trace)) == trace
 
 
 class TestGenerate:
