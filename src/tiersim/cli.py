@@ -196,8 +196,7 @@ def _emit(payload, reports, out, fmt):
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
         text = buf.getvalue()
     if out:
         tmp = out + ".tmp"

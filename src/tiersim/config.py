@@ -228,15 +228,21 @@ def config_from_mapping(mapping: dict) -> SimConfig:
         elif name == "policy":
             kwargs[name] = value if isinstance(value, Policy) else Policy(str(value).lower())
         elif name == "exact_recency":
-            kwargs[name] = value in (True, "1", "true", "yes", "on")
+            word = str(value).strip().lower()
+            _need(word in ("true", "false", "yes", "no", "on", "off", "1", "0"),
+                  f"{name}: expected true/false/yes/no/on/off/1/0, got {value!r}")
+            kwargs[name] = word in ("true", "yes", "on", "1")
+        elif not isinstance(value, str):
+            kwargs[name] = value
+        elif known[name].type in ("float", float):
+            kwargs[name] = float(value)
         else:
-            conv = known[name].type
-            if isinstance(value, str) and conv in ("float", float):
-                kwargs[name] = float(value)
-            elif isinstance(value, str):
-                kwargs[name] = int(float(value)) if "." in value else int(value, 0)
-            else:
-                kwargs[name] = value
+            try:
+                number = float(value) if "." in value else int(value, 0)
+            except ValueError:
+                number = math.nan
+            _need(number % 1 == 0, f"{name}: expected an integer, got {value!r}")
+            kwargs[name] = int(number)
     return SimConfig(**kwargs)
 
 

@@ -84,7 +84,7 @@ class Simulator:
         self.writebacks = 0
         self.recycles = 0
 
-        recency = make_recency_filter(cfg.bloom_window, cfg.exact_recency)
+        recency = make_recency_filter(cfg.bloom_window, cfg.exact_recency, cfg.total_pages)
         shuffle_seed = cfg.rng_seed if cfg.policy is Policy.STATIC else None
         self.pagetable = PageTable(cfg.fast_pages, cfg.total_pages,
                                    cfg.blocks_per_page, recency,

@@ -8,6 +8,7 @@ reference oracle.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, deque
 
 
@@ -24,67 +25,62 @@ def mix64(x: int) -> int:
 _DESIGN_FP = 0.02
 
 
-class _BloomBank:
-    __slots__ = ("bits", "nbits", "k")
-
-    def __init__(self, nbits: int, k: int):
-        self.bits = bytearray((nbits + 7) // 8)
-        self.nbits = nbits
-        self.k = k
-
-    # Double hashing: probe i is h1 + i * h2 (mod 2**64), taken mod nbits.
-    def add(self, key: int):
-        bits, nbits = self.bits, self.nbits
-        h = mix64(key)
-        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
-        for _ in range(self.k):
-            pos = h % nbits
-            bits[pos >> 3] |= 1 << (pos & 7)
-            h = (h + h2) & 0xFFFFFFFFFFFFFFFF
-
-    def __contains__(self, key: int) -> bool:
-        bits, nbits = self.bits, self.nbits
-        h = mix64(key)
-        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
-        for _ in range(self.k):
-            pos = h % nbits
-            if not bits[pos >> 3] & (1 << (pos & 7)):
-                return False
-            h = (h + h2) & 0xFFFFFFFFFFFFFFFF
-        return True
-
-
 class BloomRecencyFilter:
     """Tracks roughly the last `window` recorded pages.
 
     Inserts go to the active filter; every `window` insertions the active
     filter becomes the aging one and a fresh filter starts.  Queries check
     both, so a page recorded within the last `window` insertions is always
-    reported present; pages older than two generations vanish.
+    reported present; pages older than two generations vanish.  The bit
+    positions of host pages below `pages` are hashed once, into a flat memo.
     """
 
     exact = False
 
-    def __init__(self, window: int):
+    def __init__(self, window: int, pages: int = 0):
         if window < 1:
             raise ValueError("window must be positive")
         self.window = window
         self.nbits = max(64, math.ceil(-window * math.log(_DESIGN_FP) / (math.log(2) ** 2)))
         self.k = max(1, round(self.nbits / window * math.log(2)))
-        self.active = _BloomBank(self.nbits, self.k)
-        self.aging = _BloomBank(self.nbits, self.k)
+        # An entry of nbits, never a position, marks a page not hashed yet.
+        self.memo = array("I" if self.nbits < 1 << 32 else "Q", [self.nbits]) * (self.k * pages)
+        self.active = bytearray(self.nbits)
+        self.aging = bytearray(self.nbits)
         self.active_count = 0
 
+    # Double hashing: probe i is h1 + i * h2 (mod 2**64), taken mod nbits.
+    def _probes(self, key: int):
+        k, memo = self.k, self.memo
+        base = key * k
+        if 0 <= base < len(memo) and memo[base] != self.nbits:
+            return memo[base:base + k]
+        h1 = mix64(key)
+        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
+        positions = [(h1 + i * h2) % (1 << 64) % self.nbits for i in range(k)]
+        if 0 <= base < len(memo):
+            memo[base:base + k] = array(memo.typecode, positions)
+        return positions
+
     def record(self, page: int):
-        self.active.add(page)
+        active = self.active
+        for pos in self._probes(page):
+            active[pos] = 1
         self.active_count += 1
         if self.active_count >= self.window:
-            self.aging = self.active
-            self.active = _BloomBank(self.nbits, self.k)
+            self.aging = active
+            self.active = bytearray(self.nbits)
             self.active_count = 0
 
     def __contains__(self, page: int) -> bool:
-        return page in self.active or page in self.aging
+        positions = self._probes(page)
+        for bank in (self.active, self.aging):
+            for pos in positions:
+                if not bank[pos]:
+                    break
+            else:
+                return True
+        return False
 
 
 class ExactRecencyFilter:
@@ -110,5 +106,5 @@ class ExactRecencyFilter:
         return page in self.counts
 
 
-def make_recency_filter(window: int, exact: bool):
-    return ExactRecencyFilter(window) if exact else BloomRecencyFilter(window)
+def make_recency_filter(window: int, exact: bool, pages: int):
+    return ExactRecencyFilter(window) if exact else BloomRecencyFilter(window, pages)

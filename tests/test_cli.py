@@ -125,6 +125,21 @@ class TestRun:
         assert rep["fast_capacity_bytes"] == 256 * 1024
         assert rep["threshold_initial"] == 3  # flag wins over file
 
+    def test_config_file_booleans_and_fractions(self, tmp_path, capsys):
+        cfgfile = tmp_path / "sim.cfg"
+        out = tmp_path / "r.json"
+        argv = ("run", "--config", str(cfgfile), "--gen", "sequential",
+                "--pages", "32", "--requests", "200", "--out", str(out))
+        geometry = "fast_capacity_bytes = 256KiB\nslow_capacity_bytes = 1MiB\n"
+        cfgfile.write_text(geometry + "bloom_window = 16\nexact_recency = True\n")
+        assert run_cli(*argv) == 0
+        assert json.loads(out.read_text())["reports"][0]["exact_recency"] is True
+        for bad, field in (("exact_recency = ture", "exact_recency"),
+                           ("bloom_window = 16.9", "bloom_window")):
+            cfgfile.write_text(geometry + bad + "\n")
+            assert run_cli(*argv) == 1
+            assert f"error: {field}:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_threshold_sweep_shape(self, tmp_path):

@@ -57,8 +57,29 @@ class TestMapping:
             config_from_mapping({"dram_size": "1MiB"})
 
     def test_exact_recency_values(self):
-        assert config_from_mapping({"exact_recency": "true"}).exact_recency
-        assert not config_from_mapping({"exact_recency": "0"}).exact_recency
+        for word in ("true", "True", "YES", " on ", "1", True):
+            assert config_from_mapping({"exact_recency": word}).exact_recency
+        for word in ("false", "FALSE", "No", "off", "0", False):
+            assert not config_from_mapping({"exact_recency": word}).exact_recency
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
+    def test_exact_recency_rejects_other_words(self, word):
+        with pytest.raises(ConfigError, match="exact_recency"):
+            config_from_mapping({"exact_recency": word})
+
+    @pytest.mark.parametrize("key,value", [
+        ("bloom_window", "16.9"), ("promotion_threshold", "2.5"),
+        ("rng_seed", "-0.5"), ("adaptive_window_pages", "abc"),
+        ("bloom_window", "nan"),
+    ])
+    def test_int_fields_reject_fractions_and_words(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
+            config_from_mapping({key: value})
+
+    def test_int_fields_take_whole_numbers(self):
+        cfg = config_from_mapping({"bloom_window": "16.0", "rng_seed": "0x10",
+                                   "promotion_threshold": " 3 "})
+        assert (cfg.bloom_window, cfg.rng_seed, cfg.promotion_threshold) == (16, 16, 3)
 
 
 class TestConfigFile:

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from tiersim import (ConfigError, MemoryRequest, Policy, SimConfig, Simulator,
-                     Trace, TraceError, TraceRecord, run_trace)
+                     Trace, TraceError, TraceRecord, WorkloadSpec, generate,
+                     run_trace)
 from tiersim.core import write_payload
 
 from conftest import random_records, shadow_run, small_config
@@ -117,6 +121,40 @@ class TestRun:
         for records in (trace, list(trace)):
             sim = Simulator(cfg)
             assert (sim.run(records), sim.content_digest()) == expected
+
+    # Bloom-mode runs: the oracle differential runs with exact recency, so
+    # these pins are what hold the bloom filter's answers (and the victims
+    # they steer) fixed. Each report differs from its exact-recency run.
+    BLOOM_GOLDEN = {
+        Policy.PAGEMOVE: ("sparse-wide", {
+            "elapsed_ns": 862100, "energy_total_nj": 396662.55420898437,
+            "slow_writes_total": 22754, "fast_hit_fraction": 0.15166666666666667,
+            "page_relocations": 663, "block_relocations": 0, "writebacks": 0,
+            "recycles": 0, "migrated_bytes": 5431296, "stall_ns": 0},
+            "913a0c6d0fbeda4628d4429ed05958b3e2a02543e0514905d924f62d1ca99b0f",
+            "b1c61479403d6662f056c2579e13fee5a402dc122a37a229303a09552b192ade"),
+        Policy.ADPCOMB: ("zipfian", {
+            "elapsed_ns": 531150, "energy_total_nj": 153102.41025878908,
+            "slow_writes_total": 7540, "fast_hit_fraction": 0.6415,
+            "page_relocations": 216, "block_relocations": 1689, "writebacks": 10,
+            "recycles": 110, "migrated_bytes": 1988096, "stall_ns": 0},
+            "7e2809b9c4404e9a3a578b1f77070e42044ce11298c4c5eb824b6eb15b06e965",
+            "78e884a42acc72e98ffdf80de101aab0baa34fe25c0ab66c11cb46ea2abd31ed"),
+    }
+
+    @pytest.mark.parametrize("policy", list(BLOOM_GOLDEN))
+    def test_bloom_mode_golden(self, policy):
+        kind, fields, digest, report_sha = self.BLOOM_GOLDEN[policy]
+        cfg = small_config(policy)
+        spec = WorkloadSpec(kind=kind, footprint_bytes=cfg.host_space_bytes,
+                            request_count=6000, seed=7)
+        sim = Simulator(cfg)
+        report = sim.run(generate(spec, cfg.block_size_bytes))
+        assert not report["exact_recency"]
+        assert {k: report[k] for k in fields} == fields
+        assert sim.content_digest() == digest
+        blob = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == report_sha
 
     def test_unpackable_record_is_a_trace_error(self):
         sim = Simulator(small_config(Policy.PAGEMOVE))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -60,6 +61,74 @@ class TestBloom:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             BloomRecencyFilter(0)
+
+
+class ReferenceBloom:
+    """Two rotating banks held as sets of bit positions, each key hashed on
+    every call straight from the double-hash definition."""
+
+    def __init__(self, window, nbits, k):
+        self.window, self.nbits, self.k = window, nbits, k
+        self.active, self.aging, self.count = set(), set(), 0
+
+    def positions(self, key):
+        h1 = mix64(key)
+        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
+        return {(h1 + i * h2) % 2 ** 64 % self.nbits for i in range(self.k)}
+
+    def record(self, key):
+        self.active |= self.positions(key)
+        self.count += 1
+        if self.count == self.window:
+            self.aging, self.active, self.count = self.active, set(), 0
+
+    def __contains__(self, key):
+        positions = self.positions(key)
+        return positions <= self.active or positions <= self.aging
+
+
+class TestMemo:
+    @pytest.mark.parametrize("window", [1, 512])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_memo_matches_reference(self, window, seed):
+        # Keys come from [0, 2N): below N they go through the memo, from N
+        # on they are hashed on the fly. Queries also run before a key's
+        # first record, so either method can fill a memo entry.
+        n = max(64, 2 * window)
+        memo = BloomRecencyFilter(window, pages=n)
+        ref = ReferenceBloom(window, memo.nbits, memo.k)
+        rng = random.Random(seed)
+        edges = (0, n - 1, n, 2 * n - 1)
+        steps = 4 * window + 200
+        answers = set()
+        for _ in range(steps):
+            key = rng.choice(edges) if rng.random() < 0.1 else rng.randrange(2 * n)
+            for probe in (rng.randrange(2 * n), rng.choice(edges), key):
+                answers.add(probe in memo)
+                assert (probe in memo) == (probe in ref), probe
+            memo.record(key)
+            ref.record(key)
+        assert steps // window >= 3  # generation rollovers
+        assert answers == {True, False}
+        assert memo.memo[(n - 1) * memo.k] != memo.nbits  # key N-1 was memoized
+        assert len(memo.memo) == n * memo.k  # key N was not
+
+    def test_memo_memory_is_flat(self):
+        # A flat array of k 4-byte positions per page; a dict or per-page
+        # objects would cost several times as much.
+        pages = 20480
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f = BloomRecencyFilter(512, pages=pages)
+            for page in range(pages):
+                f.record(page)
+                assert page in f
+            resident = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert f.nbits not in f.memo  # every page was hashed into the memo
+        assert resident <= 4 * f.k * pages + pages + 16 * 1024
 
 
 class TestExact:
