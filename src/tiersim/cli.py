@@ -19,14 +19,10 @@ from .metering import REPORT_SCHEMA_VERSION, metadata_cost
 from .trace import (WORKLOAD_KINDS, TraceError, WorkloadSpec, generate,
                     load_trace, write_trace)
 
-SWEEPABLE = {
-    "promotion_threshold": int,
-    "cache_zone_bytes": parse_size,
-    "bloom_window": int,
-    "dma_bandwidth_bytes_per_ns": float,
-    "fast_capacity_bytes": parse_size,
-    "adaptive_window_pages": int,
-}
+# Config fields `sweep --param` accepts; each value is parsed as that field.
+SWEEPABLE = ("promotion_threshold", "cache_zone_bytes", "bloom_window",
+             "dma_bandwidth_bytes_per_ns", "fast_capacity_bytes",
+             "adaptive_window_pages")
 
 # Exit status for a simulator defect, as opposed to a user error (1);
 # sysexits.h calls it EX_SOFTWARE.
@@ -239,8 +235,8 @@ def cmd_sweep(args) -> int:
     base = base_config(args)
     records = workload_records(args, base)
     policies = _policies(args)
-    conv = SWEEPABLE[args.param]
-    values = [conv(v.strip()) for v in args.values.split(",") if v.strip()]
+    values = [getattr(config_from_mapping({args.param: v.strip()}), args.param)
+              for v in args.values.split(",") if v.strip()]
     reports = [{**_run_labeled(base, policy, records, **{args.param: value}),
                 "sweep_param": args.param, "sweep_value": value}
                for policy in policies for value in values]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 from .pagetable import COUNTER_MAX
 
@@ -33,18 +34,28 @@ _SUFFIXES = {
 
 
 def parse_size(text) -> int:
-    """Parse a byte size like '128MiB', '4KiB', '512' into an int."""
+    """Parse a byte size like '128MiB', '1.5KiB', '512' into an int. A size
+    that is not a whole number of bytes ('127.9b', '1.0001KiB') is a
+    ConfigError, not a truncated int."""
     if isinstance(text, int):
         return text
     s = str(text).strip().lower().replace("_", "")
+    try:
+        return int(s, 0)
+    except ValueError:
+        pass
+    mult = 1
     for suffix in sorted(_SUFFIXES, key=len, reverse=True):
         if s.endswith(suffix):
-            num = s[: -len(suffix)].strip()
-            try:
-                return int(float(num) * _SUFFIXES[suffix])
-            except ValueError:
-                break   # a bare number that merely ends in a suffix letter
-    return int(s, 0)
+            s, mult = s[: -len(suffix)].strip(), _SUFFIXES[suffix]
+            break
+    try:
+        size = Fraction(s) * mult
+    except ValueError:
+        raise ConfigError(f"not a byte size: {text!r}") from None
+    if size.denominator != 1:
+        raise ConfigError(f"not a whole number of bytes: {text!r}")
+    return int(size)
 
 
 def format_size(n: int) -> str:
@@ -224,7 +235,10 @@ def config_from_mapping(mapping: dict) -> SimConfig:
         if name not in known:
             raise ConfigError(f"unknown config key: {key}")
         if name in _SIZE_FIELDS:
-            kwargs[name] = parse_size(value)
+            try:
+                kwargs[name] = parse_size(value)
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         elif name == "policy":
             kwargs[name] = value if isinstance(value, Policy) else Policy(str(value).lower())
         elif name == "exact_recency":

@@ -7,8 +7,13 @@ its page was promoted and is not in flight, in which case the line is
 recycled into the page. Next the engine locates the copy of an in-flight
 page that holds the byte (a write to the chunk being copied stalls until it
 lands); otherwise the remap table gives the page. A touch served from a slow
-page that is not in flight asks the policy for a swap or a block copy.
+page that is not in flight asks a migrating policy for a swap or a block
+copy; static serves it and does nothing else.
 All-DRAM is the same path over an identity table whose pages are all fast.
+
+The engine moves a swap's content lazily: copied chunks land in `mem` only
+when a page of the in-flight pair is located or the swap completes, and a
+swap that lands whole trades the two page buffers instead of copying them.
 """
 
 from __future__ import annotations
@@ -83,6 +88,8 @@ class Simulator:
         self.block_relocations = 0
         self.writebacks = 0
         self.recycles = 0
+        # Only migrating policies act on a slow touch; static just forwards.
+        self.migrating = cfg.policy in MIGRATING
 
         recency = make_recency_filter(cfg.bloom_window, cfg.exact_recency, cfg.total_pages)
         shuffle_seed = cfg.rng_seed if cfg.policy is Policy.STATIC else None
@@ -97,7 +104,7 @@ class Simulator:
         self.cache = (BlockCache(cfg.cache_sets, cfg.cache_ways,
                                  cfg.block_size_bytes)
                       if cfg.policy in CACHING else None)
-        if cfg.policy in MIGRATING:
+        if self.migrating:
             self.pagetable.search_candidate()
 
     # Content helpers ---------------------------------------------------
@@ -114,8 +121,22 @@ class Simulator:
         return buf
 
     def _exchange_chunks(self, first: int, stop: int):
-        """Swap chunks [first, stop) of the in-flight pair in one exchange."""
+        """Swap chunks [first, stop) of the in-flight pair in one exchange.
+        The whole page trades the two buffers and copies nothing, so a page
+        without a buffer stays without one and keeps reading as zeros."""
         job = self.engine.job
+        if first == 0 and stop == self.blocks_per_page:
+            mem = self.mem
+            a = mem.get(job.src_internal)
+            b = mem.get(job.dst_internal)
+            # Assign over live keys where it can: each deletion leaves a
+            # hole in the dict's table, and the churn doubles its size.
+            for key, buf in ((job.src_internal, b), (job.dst_internal, a)):
+                if buf is not None:
+                    mem[key] = buf
+                else:
+                    mem.pop(key, None)
+            return
         a = self._page_mem(job.src_internal)
         b = self._page_mem(job.dst_internal)
         lo = first * self.block_bytes
@@ -199,7 +220,7 @@ class Simulator:
         tier = "fast" if pagetable.in_fast(internal) else "slow"
         result = self._serve(kind, tier, self._page_mem(internal),
                              offset_in_page, size, seq, stall, outcome)
-        if tier == "slow" and not in_flight:
+        if tier == "slow" and not in_flight and self.migrating:
             self._slow_policy_actions(host_page, internal, block_id,
                                       offset_in_page)
         return result

@@ -1,6 +1,7 @@
 """Background DMA model: full-page swaps between tiers with chunk-granular
 progress, plus the locator for requests that hit a page while it is in
-flight."""
+flight. Chunk content lands lazily: only when a pair page is located or the
+swap completes."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ class SwapJob:
     start_ns: int
     page_bytes: int
     chunk_bytes: int
-    applied_chunks: int = 0
+    applied_chunks: int = 0     # chunks copied by the timing model
+    exchanged_chunks: int = 0   # of those, chunks moved in the content model
 
     @property
     def total_chunks(self) -> int:
@@ -29,9 +31,13 @@ class DmaEngine:
 
     Both directions of a swap advance in lockstep through a bounce buffer,
     so one scalar tracks progress and completion takes
-    2 * page_bytes / bandwidth.  Chunk exchanges are applied to the content
-    model whenever the engine is advanced, which happens at request
-    boundaries and on write stalls.
+    2 * page_bytes / bandwidth.  Advancing the engine only moves the timing
+    model's progress. The copied chunks land in the content model later, in
+    one exchange: when `locate` is about to return a page of the in-flight
+    pair, or when the swap completes. `locate` is the only way to reach the
+    pair's buffers while the swap is in flight, so no stale byte is ever
+    read, and a swap whose pair nobody touches lands as one whole-page
+    exchange.
     """
 
     def __init__(self, page_bytes: int, chunk_bytes: int, bandwidth: float,
@@ -40,8 +46,8 @@ class DmaEngine:
         self.chunk_bytes = chunk_bytes
         self.bandwidth = bandwidth
         self.on_complete = on_complete   # called with the finished SwapJob
-        # Called with (first, stop) when chunks [first, stop) land, to swap
-        # those chunks of content between the two pages.
+        # Called with (first, stop) to swap chunks [first, stop) of content
+        # between the two pages of the in-flight job; see `_land` for when.
         self.exchange = exchange
         self.job = None
         self.completed_swaps = 0
@@ -61,22 +67,30 @@ class DmaEngine:
         return self.job
 
     def advance_to(self, now_ns: int):
-        """Apply chunk copies up to `now_ns`; fire completion when done."""
+        """Count chunk copies up to `now_ns`; on completion, land the rest
+        and fire completion."""
         job = self.job
         if job is None:
             return
         # Each direction has moved half of the bytes the engine carried.
         moved = (now_ns - job.start_ns) * self.bandwidth / 2
-        done = (job.total_chunks if moved >= self.page_bytes
-                else int(moved // self.chunk_bytes))
-        if done > job.applied_chunks:
-            if self.exchange is not None:
-                self.exchange(job.applied_chunks, done)
-            job.applied_chunks = done
-        if job.applied_chunks >= job.total_chunks:
+        if moved < self.page_bytes:
+            done = int(moved // self.chunk_bytes)
+            if done > job.applied_chunks:
+                job.applied_chunks = done
+        else:
+            job.applied_chunks = job.total_chunks
+            self._land(job)
             self.job = None
             self.completed_swaps += 1
             self.on_complete(job)
+
+    def _land(self, job: SwapJob):
+        """Move the content of the chunks copied since the last landing."""
+        if job.exchanged_chunks != job.applied_chunks:
+            if self.exchange is not None:
+                self.exchange(job.exchanged_chunks, job.applied_chunks)
+            job.exchanged_chunks = job.applied_chunks
 
     def completion_ns(self) -> int:
         assert self.job is not None
@@ -96,12 +110,15 @@ class DmaEngine:
         job = self.job
         if job is None:
             return None
-        copied = offset_in_page // self.chunk_bytes < job.applied_chunks
         if host_page == job.src_host:
-            return job.dst_internal if copied else job.src_internal
-        if host_page == job.dst_host:
-            return job.src_internal if copied else job.dst_internal
-        return None
+            old, new = job.src_internal, job.dst_internal
+        elif host_page == job.dst_host:
+            old, new = job.dst_internal, job.src_internal
+        else:
+            return None
+        self._land(job)
+        copied = offset_in_page // self.chunk_bytes < job.applied_chunks
+        return new if copied else old
 
     def write_stall_ns(self, offset_in_page: int, now_ns: int) -> int:
         """Extra wait for a write landing in the chunk currently copying."""

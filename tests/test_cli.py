@@ -179,6 +179,16 @@ class TestSweep:
         assert [r["cache_zone_bytes"] for r in payload["reports"]] == \
             [32 * 1024, 64 * 1024]
 
+    def test_sweep_value_is_parsed_as_its_field(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        rc = run_cli("sweep", *BASE, "--gen", "zipfian",
+                     "--pages", "128", "--requests", "100",
+                     "--policy", "pagemove", "--param", "bloom_window",
+                     "--values", "16.9", "--out", str(out))
+        assert rc == 1
+        assert "bloom_window" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGen:
     def test_gen_writes_parseable_trace(self, tmp_path):

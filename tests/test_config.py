@@ -27,6 +27,11 @@ class TestParseSize:
         with pytest.raises(ValueError):
             parse_size("lots")
 
+    @pytest.mark.parametrize("text", ["127.9b", "1.0001KiB", "4096.5"])
+    def test_rejects_a_fractional_byte_count(self, text):
+        with pytest.raises(ConfigError, match="whole number of bytes"):
+            parse_size(text)
+
     def test_format_roundtrip(self):
         assert format_size(128 * 1024 ** 2) == "128MiB"
         assert format_size(4096) == "4KiB"
@@ -89,6 +94,12 @@ class TestConfigFile:
                         "policy = statcomb   # combined\n")
         mapping = load_config_file(path)
         assert mapping == {"fast_capacity_bytes": "1MiB", "policy": "statcomb"}
+
+    def test_fractional_size_names_its_field(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("page_size_bytes = 4096.5\n")
+        with pytest.raises(ConfigError, match="page_size_bytes"):
+            config_from_mapping(load_config_file(path))
 
     def test_missing_equals_is_an_error(self, tmp_path):
         path = tmp_path / "sim.cfg"

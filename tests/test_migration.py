@@ -1,9 +1,11 @@
 import random
 
-from tiersim import MemoryRequest, Policy, Simulator
+import pytest
+
+from tiersim import MemoryRequest, Policy, Simulator, oracle_run
 from tiersim.migration import DmaEngine
 
-from conftest import small_config
+from conftest import random_records, small_config
 
 
 def make_engine(page=4096, chunk=128, bw=8.0, exchange=None):
@@ -50,14 +52,43 @@ class TestEngine:
             assert done_a[0].applied_chunks == done_b[0].applied_chunks
 
     def test_chunk_exchange_sequence(self):
+        # Chunks land in the content model lazily: when a page of the pair
+        # is located, or when the swap completes.
         seen = []
-        eng, _ = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
+        eng, done = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
+        eng.on_complete = lambda job: done.append(list(seen))
         eng.start_swap(7, 80, 3, 2, now_ns=0)
-        eng.advance_to(100)   # 100*8/2 = 400B -> 3 chunks
-        assert seen == [(0, 3)]
-        eng.advance_to(100)   # no new chunk, no exchange
-        eng.advance_to(200)   # 800B -> chunks 3..5
-        assert seen == [(0, 3), (3, 6)]
+        eng.advance_to(100)   # 100*8/2 = 400B -> 3 chunks copied
+        eng.advance_to(200)   # 800B -> 6 chunks copied
+        assert eng.job.applied_chunks == 6
+        assert seen == []     # the pair is untouched: nothing lands yet
+        assert eng.locate(5, 0) is None
+        assert seen == []     # an unrelated page lands nothing
+        assert eng.locate(7, 0) == 2
+        assert seen == [(0, 6)]
+        assert eng.locate(3, 4000) == 2
+        assert seen == [(0, 6)]   # a second locate at the same time: nothing
+        assert eng.job.exchanged_chunks == 6
+        eng.advance_to(300)   # 1200B -> 9 chunks copied
+        assert seen == [(0, 6)]
+        assert eng.locate(3, 0) == 80
+        assert seen == [(0, 6), (6, 9)]
+        eng.advance_to(10_000)
+        # Completion lands the remainder before on_complete runs.
+        assert seen == [(0, 6), (6, 9), (9, 32)]
+        assert done == [[(0, 6), (6, 9), (9, 32)]]
+
+    def test_untouched_swap_lands_whole_at_completion(self):
+        seen = []
+        eng, done = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
+        eng.start_swap(7, 80, 3, 2, now_ns=0)
+        for t in range(0, 1024, 32):
+            eng.advance_to(t)
+            assert eng.locate(4, 0) is None
+        assert seen == [] and not done
+        eng.advance_to(1024)
+        assert seen == [(0, 32)] and len(done) == 1
+        assert done[0].exchanged_chunks == done[0].applied_chunks == 32
 
     def test_progress_monotone_under_time_replays(self):
         eng, _ = make_engine()
@@ -167,6 +198,49 @@ class TestConflictRouting:
         for addr, expect in payloads.items():
             out = sim.dispatch(MemoryRequest("R", addr, 64, seq)); seq += 1
             assert out.data == expect
+
+
+class TestLazyLanding:
+    """Content of an in-flight swap lands only when the pair is located or
+    the swap completes; it must read the same as an eager copy."""
+
+    @pytest.mark.parametrize("exact", (True, False))
+    @pytest.mark.parametrize("policy", (Policy.PAGEMOVE, Policy.ADPCOMB))
+    def test_content_matches_oracle_mid_swap(self, policy, exact):
+        cfg = small_config(policy, exact_recency=exact)
+        records = random_records(1500, cfg.host_space_bytes, seed=23,
+                                 write_fraction=0.6)
+        sim = Simulator(cfg)
+        checked = []
+        for n, rec in enumerate(records):
+            sim.dispatch(MemoryRequest(rec.kind, rec.host_addr,
+                                       rec.size_bytes, n))
+            job = sim.engine.job
+            if (job is not None and 0 < job.applied_chunks < job.total_chunks
+                    and n >= (checked[-1] + 60 if checked else 0)):
+                assert sim.content_digest() == \
+                    oracle_run(records[:n + 1], cfg)[1], f"request {n}"
+                checked.append(n)
+        assert len(checked) >= 10
+
+    def test_untouched_victim_stays_unallocated(self):
+        sim = Simulator(small_config(Policy.PAGEMOVE, bloom_window=8))
+        slow_page = sim.config.fast_pages + 5
+        sim.dispatch(MemoryRequest("W", slow_page * 4096, 64, 0))
+        job = sim.engine.job
+        victim_internal = job.dst_internal
+        assert victim_internal not in sim.mem
+        promoted = sim.mem[job.src_internal]
+        other = 7 if job.dst_host != 7 else 8
+        seq = 1
+        while sim.engine.busy:   # unrelated traffic until the swap completes
+            sim.dispatch(MemoryRequest("R", other * 4096, 64, seq)); seq += 1
+        # The buffers were traded, not copied: the victim's new home holds
+        # no buffer and still reads as zeros.
+        assert job.src_internal not in sim.mem
+        assert sim.mem[victim_internal] is promoted
+        assert sim.pagetable.lookup(job.dst_host) == job.src_internal
+        assert sim.peek(job.dst_host * 4096, 4096) == bytes(4096)
 
 
 def test_block_copies_coexist_with_active_swap():
