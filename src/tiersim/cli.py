@@ -210,9 +210,12 @@ def _policies(args):
 def _run_labeled(base, policy, records, **changes) -> dict:
     """Report of one run; a run that fails on its config or trace becomes a
     labeled entry holding the policy and the error, so the remaining runs
-    still happen. Any other exception is a defect and propagates."""
+    still happen. Any other exception is a defect and propagates.
+
+    `changes` edit the shared base before the per-policy view is taken, so
+    a swept capacity reaches all-DRAM as that capacity plus the slow tier."""
     try:
-        cfg = dataclasses.replace(config_for_policy(base, policy), **changes)
+        cfg = config_for_policy(dataclasses.replace(base, **changes), policy)
         return Simulator(cfg.validate()).run(records)
     except (ConfigError, TraceError, SimulationError) as exc:
         return {"policy": policy.value, "error": str(exc)}

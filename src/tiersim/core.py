@@ -191,14 +191,16 @@ class Simulator:
         pagetable.record_access(host_page, offset_in_page // block)
         loc = engine.locate(host_page, offset_in_page) if engine.job else None
         in_flight = loc is not None
-        internal = loc if in_flight else pagetable.lookup(host_page)
+        # The address check above bounds host_page, so index the table.
+        internal = loc if in_flight else pagetable.table[host_page]
+        fast_pages = pagetable.fast_pages
 
         # The cache copy, when present, is always the authoritative one.
         # Once its page is promoted and no longer in flight, it is recycled.
         if self.cache is not None:
             way = self.cache.lookup(block_id)
             if way is not None:
-                if in_flight or not pagetable.in_fast(internal):
+                if in_flight or internal >= fast_pages:
                     line = self.cache.line(block_id, way, write=kind == "W")
                     return self._serve(kind, "fast", line, addr % block,
                                        size, seq, 0, outcome)
@@ -217,9 +219,11 @@ class Simulator:
                 engine.advance_to(ledger.total_foreground_ns)
                 internal = self._locate(host_page, offset_in_page)
 
-        tier = "fast" if pagetable.in_fast(internal) else "slow"
-        result = self._serve(kind, tier, self._page_mem(internal),
-                             offset_in_page, size, seq, stall, outcome)
+        tier = "fast" if internal < fast_pages else "slow"
+        # `_page_mem` allocates, so it alone enforces the all-DRAM footprint.
+        buf = self.mem.get(internal) or self._page_mem(internal)
+        result = self._serve(kind, tier, buf, offset_in_page, size, seq,
+                             stall, outcome)
         if tier == "slow" and not in_flight and self.migrating:
             self._slow_policy_actions(host_page, internal, block_id,
                                       offset_in_page)

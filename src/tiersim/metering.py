@@ -53,7 +53,8 @@ class MeterLedger:
 
     def charge(self, tier: str, kind: str, foreground: bool, nbytes: int):
         """Count an access and return the foreground time it took."""
-        units = max(1, math.ceil(nbytes / self.block_size))
+        # Ceiling division; an empty access still counts one unit.
+        units = -(-nbytes // self.block_size) or 1
         index = _COUNTER_INDEX[tier, kind, foreground]
         self.counts[index] += units
         latency = self.unit_ns[index] * units

@@ -59,8 +59,9 @@ class PageTable:
 
     def record_access(self, host_page: int, block_index: int):
         self.recency.record(host_page)
-        bit = min(BITMAP_BITS - 1, block_index // self.region_blocks)
-        self.bitmap[host_page] |= 1 << bit
+        # Pages and blocks are powers of two, so the region is below
+        # BITMAP_BITS without a clamp.
+        self.bitmap[host_page] |= 1 << (block_index // self.region_blocks)
 
     def bitmap_popcount(self, host_page: int) -> int:
         return bin(self.bitmap[host_page]).count("1")

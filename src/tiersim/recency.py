@@ -63,8 +63,14 @@ class BloomRecencyFilter:
         return positions
 
     def record(self, page: int):
+        k, memo = self.k, self.memo
+        base = page * k
+        if 0 <= base < len(memo) and memo[base] != self.nbits:
+            positions = memo[base:base + k]
+        else:
+            positions = self._probes(page)
         active = self.active
-        for pos in self._probes(page):
+        for pos in positions:
             active[pos] = 1
         self.active_count += 1
         if self.active_count >= self.window:

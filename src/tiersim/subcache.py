@@ -1,6 +1,11 @@
 """Sub-page block cache: the reserved zone of fast memory, managed as a
 4-way set-associative cache of page blocks with tree pseudo-LRU replacement
-and dirty writeback."""
+and dirty writeback.
+
+Beside the per-set arrays, a `resident` dict maps the block id of every
+valid line to its way. A lookup, hit or miss, is one probe of it; the
+arrays are walked only to find a free way on insert.
+"""
 
 from __future__ import annotations
 
@@ -30,7 +35,11 @@ class BlockCache:
         self.ways = ways
         self.block_bytes = block_bytes
         self.sets = [CacheSet(ways, block_bytes) for _ in range(sets)]
-        self.valid_count = 0
+        self.resident = {}  # block id -> way, for every valid line
+
+    @property
+    def valid_count(self) -> int:
+        return len(self.resident)
 
     def _set_for(self, block_id: int) -> CacheSet:
         return self.sets[block_id & (self.nsets - 1)]
@@ -57,19 +66,14 @@ class BlockCache:
 
     def lookup(self, block_id: int):
         """Return the hit way index, or None. Hits refresh the pLRU tree."""
-        s = self._set_for(block_id)
-        for way in range(self.ways):
-            if s.valid[way] and s.tags[way] == block_id:
-                self._touch_plru(s, way)
-                return way
-        return None
+        way = self.resident.get(block_id)
+        if way is not None:
+            self._touch_plru(self._set_for(block_id), way)
+        return way
 
     def peek(self, block_id: int):
-        s = self._set_for(block_id)
-        for way in range(self.ways):
-            if s.valid[way] and s.tags[way] == block_id:
-                return way
-        return None
+        """The resident way, or None; leaves the pLRU tree as it is."""
+        return self.resident.get(block_id)
 
     def insert(self, block_id: int, data: bytes):
         """Insert a clean copy. Returns the evicted (block_id, dirty, data)
@@ -84,12 +88,12 @@ class BlockCache:
         if way is None:
             way = self._plru_victim(s)
             victim = (s.tags[way], s.dirty[way], bytes(s.data[way]))
-            self.valid_count -= 1
+            del self.resident[s.tags[way]]
         s.tags[way] = block_id
         s.valid[way] = True
         s.dirty[way] = False
         s.data[way][:] = data
-        self.valid_count += 1
+        self.resident[block_id] = way
         self._touch_plru(s, way)
         return victim
 
@@ -106,7 +110,7 @@ class BlockCache:
         s = self._set_for(block_id)
         assert s.valid[way] and s.tags[way] == block_id
         s.valid[way] = False
-        self.valid_count -= 1
+        del self.resident[block_id]
         return s.dirty[way], bytes(s.data[way])
 
     def dump(self) -> str:

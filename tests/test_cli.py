@@ -44,7 +44,8 @@ class TestRun:
                      "--requests", "500", "--policy", "pagemove",
                      "--format", "csv", "--out", str(out))
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["policy"] == "pagemove"
         assert int(rows[0]["requests"]) == 500
@@ -178,6 +179,21 @@ class TestSweep:
         payload = json.loads(out.read_text())
         assert [r["cache_zone_bytes"] for r in payload["reports"]] == \
             [32 * 1024, 64 * 1024]
+
+    def test_fast_capacity_sweep_keeps_the_alldram_slow_tier(self, tmp_path):
+        out = tmp_path / "s.json"
+        rc = run_cli("sweep", *BASE, "--gen", "sparse-wide", "--pages", "200",
+                     "--policy", "alldram,pagemove",
+                     "--param", "fast_capacity_bytes",
+                     "--values", "256KiB,512KiB", "--out", str(out))
+        reports = json.loads(out.read_text())["reports"]
+        alldram = [r for r in reports if r["policy"] == "alldram"]
+        assert [r["sweep_value"] for r in alldram] == [256 * 1024, 512 * 1024]
+        for rep in alldram:
+            assert "error" not in rep
+            assert rep["fast_capacity_bytes"] == rep["sweep_value"] + 1024 * 1024
+            assert rep["slow_capacity_bytes"] == 0
+        assert rc == 0
 
     def test_sweep_value_is_parsed_as_its_field(self, tmp_path, capsys):
         out = tmp_path / "s.json"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tiersim import Policy, Simulator, metadata_cost
@@ -19,6 +21,15 @@ class TestCharge:
         assert led.total_foreground_ns == 50
         energy = led.energy_breakdown(0, 0.0)
         assert energy["energy_fast_read_nj"] == pytest.approx(4.2)
+
+    @pytest.mark.parametrize("block", [128, 256])
+    def test_units_are_the_ceiling_with_a_floor_of_one(self, block):
+        led = make_ledger(block_size_bytes=block)
+        page = led.config.page_size_bytes
+        for nbytes in (0, 1, block - 1, block, block + 1, page):
+            before = led.slow_reads
+            led.charge("slow", "read", True, nbytes)
+            assert led.slow_reads - before == max(1, math.ceil(nbytes / block))
 
     def test_background_slow_write_costs_no_time(self):
         led = make_ledger()

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tiersim.pagetable import PageTable, VictimSearchError
+from tiersim import SimConfig
+from tiersim.pagetable import BITMAP_BITS, PageTable, VictimSearchError
 from tiersim.recency import ExactRecencyFilter, mix64
 
 
@@ -176,3 +177,28 @@ def test_dump_format():
     lines = pt.dump().splitlines()
     assert lines[0].startswith("host_page")
     assert lines[2].split()[:3] == ["1", "1", "1"]
+
+
+# (page, block) pairs giving 1, 2, 4, 8, 16 and 32 blocks per page.
+GEOMETRIES = [(512, 512), (512, 256), (512, 128), (1024, 128), (2048, 256),
+              (4096, 128), (8192, 256)]
+
+
+@pytest.mark.parametrize("page,block", GEOMETRIES)
+def test_every_block_lands_in_the_bitmap(page, block):
+    # validate() admits only power-of-two pages split into whole blocks, so
+    # each block's region is a bit below BITMAP_BITS without a clamp.
+    cfg = SimConfig(fast_capacity_bytes=4 * page, slow_capacity_bytes=4 * page,
+                    page_size_bytes=page, block_size_bytes=block,
+                    bloom_window=2, promotion_threshold=1,
+                    adaptive_max_threshold=1).validate()
+    bpp = cfg.blocks_per_page
+    pt = PageTable(4, 8, bpp, ExactRecencyFilter(2))
+    for block_index in range(bpp):
+        pt.reset_bitmap(3)
+        pt.record_access(3, block_index)
+        clamped = min(BITMAP_BITS - 1, block_index // pt.region_blocks)
+        assert pt.bitmap[3] == 1 << clamped < 1 << BITMAP_BITS
+    for block_index in range(bpp):
+        pt.record_access(3, block_index)
+    assert pt.bitmap_popcount(3) == min(bpp, BITMAP_BITS)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from tiersim import MemoryRequest, Policy, Simulator
 from tiersim.pagetable import COUNTER_MAX
 from tiersim.subcache import BlockCache
@@ -108,6 +110,91 @@ class TestPlru:
         victim = c.insert(5, bytes(128))
         assert victim[0] == 1  # ways filled 0..3 in order; tree walks to way 0
         assert c.lookup(1) is None
+
+
+class LinearScanCache:
+    """Reference block cache: each set is four [tag, valid, dirty, data]
+    lines found by scanning, with the pLRU of PlruReference."""
+
+    def __init__(self, sets):
+        self.sets = [[[0, False, False, b""] for _ in range(4)]
+                     for _ in range(sets)]
+        self.plru = [PlruReference() for _ in range(sets)]
+
+    def _find(self, block_id):
+        idx = block_id % len(self.sets)
+        for way, (tag, valid, _, _) in enumerate(self.sets[idx]):
+            if valid and tag == block_id:
+                return idx, way
+        return idx, None
+
+    def lookup(self, block_id):
+        idx, way = self._find(block_id)
+        if way is not None:
+            self.plru[idx].touch(way)
+        return way
+
+    def peek(self, block_id):
+        return self._find(block_id)[1]
+
+    def insert(self, block_id, data):
+        idx, _ = self._find(block_id)
+        lines = self.sets[idx]
+        free = [way for way in range(4) if not lines[way][1]]
+        way = free[0] if free else self.plru[idx].victim()
+        tag, _, dirty, old = lines[way]
+        victim = None if free else (tag, dirty, old)
+        lines[way] = [block_id, True, False, bytes(data)]
+        self.plru[idx].touch(way)
+        return victim
+
+    def write(self, block_id, way, offset, payload):
+        line = self.sets[block_id % len(self.sets)][way]
+        line[2] = True
+        line[3] = line[3][:offset] + payload + line[3][offset + len(payload):]
+
+    def invalidate(self, block_id, way):
+        line = self.sets[block_id % len(self.sets)][way]
+        line[1] = False
+        return line[2], line[3]
+
+
+@pytest.mark.parametrize("sets", [1, 2, 8, 64])
+def test_residency_index_matches_a_linear_scan(sets):
+    rng = random.Random(sets)
+    c, ref = make_cache(sets), LinearScanCache(sets)
+    universe = 6 * sets
+    for _ in range(2000):
+        block = rng.randrange(universe)
+        op = rng.random()
+        if op < 0.35:
+            assert c.lookup(block) == ref.lookup(block)
+        elif op < 0.45:
+            assert c.peek(block) == ref.peek(block)
+        elif op < 0.75:
+            if ref.peek(block) is None:
+                data = rng.randbytes(128)
+                victim = c.insert(block, data)
+                assert victim == ref.insert(block, data)
+        else:
+            way = ref.peek(block)
+            assert c.peek(block) == way
+            if way is not None and op < 0.9:
+                payload = rng.randbytes(8)
+                offset = rng.randrange(120)
+                c.line(block, way, write=True)[offset:offset + 8] = payload
+                ref.write(block, way, offset, payload)
+            elif way is not None:
+                assert c.invalidate(block, way) == ref.invalidate(block, way)
+        assert len(c.resident) == c.valid_count == sum(
+            line[1] for lines in ref.sets for line in lines)
+        for block_id, way in c.resident.items():
+            s = c.sets[block_id % sets]
+            assert s.valid[way] and s.tags[way] == block_id
+        for s, lines in zip(c.sets, ref.sets):
+            assert s.valid == [line[1] for line in lines]
+            assert [(t, d) for t, v, d in zip(s.tags, s.valid, s.dirty) if v] \
+                == [(line[0], line[2]) for line in lines if line[1]]
 
 
 class TestDirtyData:
