@@ -60,10 +60,15 @@ def oracle_run(records, config):
             content[block_id] = buf
         return buf
 
+    # Byte i of write `seq` is (seq + i) & 0xFF: byte (seq & 0xFF) + i of
+    # this cycle, which is long enough for a block-sized write at any start.
+    cycle = bytes(i & 0xFF for i in range(256 + block))
+
     def apply_write(addr, size, seq):
         buf = block_bytes_of(addr // block)
         off = addr % block
-        buf[off:off + size] = bytes((seq + i) & 0xFF for i in range(size))
+        start = seq & 0xFF
+        buf[off:off + size] = cycle[start:start + size]
 
     def charge(tier, kind, foreground, nbytes):
         nonlocal clock

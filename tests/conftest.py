@@ -44,23 +44,24 @@ def shadow_run(config, records):
     latencies and stalls to the elapsed time, and their devices to the
     foreground fast-tier accesses."""
     sim = Simulator(config)
-    shadow = {}
+    # One byte per host byte; never-written bytes read as zeros. Byte i of
+    # write `seq` is (seq + i) & 0xFF, which is byte (seq & 0xFF) + i of
+    # `cycle`, so a write of up to a block is one slice of it.
+    shadow = bytearray(config.host_space_bytes)
+    cycle = bytes(i & 0xFF for i in range(256 + config.block_size_bytes))
     mismatches = 0
     service_ns = 0
     fast_outcomes = 0
     for seq, rec in enumerate(records):
-        out = sim.dispatch(MemoryRequest(rec.kind, rec.host_addr,
-                                         rec.size_bytes, seq))
+        addr, size = rec.host_addr, rec.size_bytes
+        out = sim.dispatch(MemoryRequest(rec.kind, addr, size, seq))
         service_ns += out.latency_ns + out.stall_ns
         fast_outcomes += out.device == "fast"
         if rec.kind == "W":
-            for i in range(rec.size_bytes):
-                shadow[rec.host_addr + i] = (seq + i) & 0xFF
-        else:
-            expect = bytes(shadow.get(rec.host_addr + i, 0)
-                           for i in range(rec.size_bytes))
-            if out.data != expect:
-                mismatches += 1
+            start = seq & 0xFF
+            shadow[addr:addr + size] = cycle[start:start + size]
+        elif out.data != shadow[addr:addr + size]:
+            mismatches += 1
     report = sim.finish()
     assert service_ns == report["elapsed_ns"]
     assert fast_outcomes == report["fast_reads"] + report["fast_writes"]

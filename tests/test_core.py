@@ -1,11 +1,14 @@
 import hashlib
+import inspect
 import json
+import tracemalloc
 
 import pytest
 
 from tiersim import (ConfigError, MemoryRequest, Policy, SimConfig, Simulator,
                      Trace, TraceError, TraceRecord, WorkloadSpec, generate,
                      run_trace)
+from tiersim import core
 from tiersim.core import write_payload
 
 from conftest import random_records, shadow_run, small_config
@@ -164,10 +167,13 @@ class TestRun:
             sim.run([TraceRecord("X", 0, 64)])
 
 
+def payload(seq, size):
+    """Write `seq`'s bytes, computed byte by byte."""
+    return bytes((seq + i) & 0xFF for i in range(size))
+
+
 class TestWritePayload:
-    @staticmethod
-    def reference(seq, size):
-        return bytes((seq + i) & 0xFF for i in range(size))
+    reference = staticmethod(payload)
 
     @pytest.mark.parametrize("block", [128, 512, 4096])
     def test_every_start_and_size_up_to_a_block(self, block):
@@ -212,6 +218,196 @@ class TestShadowContent:
                 assert out.data == peeked
 
 
+def content_heap(sim, requests):
+    """Run (kind, addr, size) requests; return the bytes still held that
+    were allocated where the simulator stores content: page indexes, the
+    `mem` dict and slot arenas."""
+    spans = []
+    for fn in (Simulator._page_mem, Simulator._new_slot,
+               Simulator._exchange_chunks):
+        lines, first = inspect.getsourcelines(fn)
+        spans.append((first, first + len(lines)))
+    trace = Trace(TraceRecord(*request) for request in requests)
+    tracemalloc.start()
+    try:
+        sim.run(trace)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = 0
+    for stat in snapshot.statistics("lineno"):
+        frame = stat.traceback[0]
+        if frame.filename == core.__file__ and any(
+                lo <= frame.lineno < hi for lo, hi in spans):
+            held += stat.size
+    return held
+
+
+def wide_config(policy=Policy.STATIC, **overrides):
+    # 5,120 pages of 4 KiB: 1,024 fast and 4,096 slow.
+    return small_config(policy, fast_capacity_bytes=4 << 20,
+                        slow_capacity_bytes=16 << 20, **overrides)
+
+
+class TestContentMemory:
+    """Content memory grows with the blocks a run writes, not the pages it
+    touches. Budgets are the measured heap (CPython 3.11) plus a little
+    headroom; a page-sized buffer per touched page would hold 4 KiB."""
+
+    def test_sparse_run_holds_a_block_per_written_block(self):
+        sim = Simulator(wide_config())
+        pages = sim.config.host_space_bytes // 4096
+        assert pages >= 4096
+        # One line per page; measured 365 B per page and block.
+        requests = [("W", p * 4096 + (p % 32) * 128 + 8, 64)
+                    for p in range(pages)]
+        held = content_heap(sim, requests)
+        assert held <= pages * 128 + pages * 256
+        assert sim.next_slot == (pages + 1) * 128
+
+    def test_dense_run_has_almost_no_per_block_overhead(self):
+        sim = Simulator(wide_config())
+        blocks = 512 * 32
+        # Streaming stores over 512 whole pages; measured 7.8 B per block
+        # beyond its 128 data bytes (its 4 B slot reference included).
+        requests = [("W", a, 128) for a in range(0, blocks * 128, 128)]
+        held = content_heap(sim, requests)
+        assert held <= blocks * (128 + 12)
+
+    def test_reads_of_never_written_blocks_allocate_no_slot(self):
+        sim = Simulator(wide_config())
+        pages = sim.config.host_space_bytes // 4096
+        requests = [("R", p * 4096 + (p % 32) * 128, 64) for p in range(pages)]
+        held = content_heap(sim, requests)
+        assert sim.next_slot == 128 and len(sim.arenas) == 1
+        assert held <= pages * 256
+        assert sim.peek(0, 4096) == bytes(4096)
+
+    def test_slot_references_widen_for_a_large_geometry(self):
+        assert Simulator(small_config())._blank_index.typecode == "I"
+        # 4 GiB of 64 KiB pages: byte offsets past 2**32 need 8-byte entries.
+        cfg = small_config(Policy.STATIC, page_size_bytes=64 << 10,
+                           fast_capacity_bytes=64 << 20,
+                           slow_capacity_bytes=4 << 30)
+        sim = Simulator(cfg)
+        assert sim._blank_index.typecode == "Q"
+        top = cfg.host_space_bytes - 128
+        sim.dispatch(MemoryRequest("W", top, 128, 5))
+        assert sim.peek(top, 128) == payload(5, 128)
+
+    def test_partial_landing_allocates_no_slot(self):
+        sim = Simulator(small_config(Policy.PAGEMOVE, bloom_window=8))
+        slow_page = sim.config.fast_pages + 5
+        base = slow_page * 4096
+        sim.dispatch(MemoryRequest("W", base + 128, 64, 0))   # starts a swap
+        job = sim.engine.job
+        assert job is not None and sim.next_slot == 2 * 128
+        seq = 1
+        while job.applied_chunks < 8:    # unrelated traffic: no landing yet
+            sim.dispatch(MemoryRequest("R", 7 * 4096, 64, seq))
+            seq += 1
+        assert job.exchanged_chunks == 0
+        out = sim.dispatch(MemoryRequest("R", base + 128, 64, seq))
+        assert 0 < job.exchanged_chunks < job.total_chunks
+        assert out.data == payload(0, 64)
+        assert sim.next_slot == 2 * 128 and len(sim.arenas) == 1
+
+
+class TestBlockContent:
+    """Edge cases of block-granular content, each against a shadow."""
+
+    @staticmethod
+    def play(sim, shadow, requests, seq=0):
+        for kind, addr, size in requests:
+            out = sim.dispatch(MemoryRequest(kind, addr, size, seq))
+            if kind == "W":
+                shadow[addr:addr + size] = payload(seq, size)
+            else:
+                assert out.data == shadow[addr:addr + size], (seq, hex(addr))
+            seq += 1
+        return seq
+
+    def test_peek_of_a_page_mixing_every_kind_of_block(self):
+        cfg = small_config(Policy.STATCOMB, promotion_threshold=3,
+                           bloom_window=8, dma_bandwidth_bytes_per_ns=2.0)
+        sim = Simulator(cfg)
+        shadow = bytearray(cfg.host_space_bytes)
+        page = cfg.fast_pages + 9
+        base = page * 4096
+        seq = self.play(sim, shadow, [
+            ("W", base + 2 * 128 + 16, 64),    # written in the page, cached
+            ("W", base + 2 * 128 + 80, 16),    # cache hit: a dirty line
+            ("R", base + 20 * 128, 8),         # cached clean, never written
+            ("W", base + 30 * 128, 128),       # third cached block
+            ("W", base + 11 * 128 + 32, 32),   # written in the page: a swap
+        ])
+        job = sim.engine.job
+        assert job is not None and job.src_host == page
+        while job.applied_chunks < 12:         # fast traffic elsewhere
+            seq = self.play(sim, shadow, [("R", 3 * 4096, 8)], seq)
+        # A write into a copied chunk lands the first part of the swap.
+        seq = self.play(sim, shadow, [("W", base + 5 * 128 + 120, 8)], seq)
+        assert 0 < job.exchanged_chunks < job.total_chunks
+        assert sim.cache.peek(page * 32 + 2) is not None
+        s = sim.cache._set_for(page * 32 + 2)
+        assert s.dirty[sim.cache.peek(page * 32 + 2)]
+        victim = job.dst_host * 4096
+        for addr in (base, victim):
+            assert sim.peek(addr, 4096) == shadow[addr:addr + 4096]
+        while sim.engine.busy:
+            seq = self.play(sim, shadow, [("R", 3 * 4096, 8)], seq)
+        for addr in (base, victim):
+            assert sim.peek(addr, 4096) == shadow[addr:addr + 4096]
+
+    def test_one_byte_at_the_end_of_a_block_changes_nothing_else(self):
+        cfg = small_config(Policy.STATIC)
+        sim = Simulator(cfg)
+        shadow = bytearray(cfg.host_space_bytes)
+        seq = self.play(sim, shadow, [("W", 4096 + b * 128, 128)
+                                      for b in range(32)])
+        before = sim.peek(4096, 4096)
+        self.play(sim, shadow, [("W", 4096 + 6 * 128 + 127, 1)], seq)
+        after = sim.peek(4096, 4096)
+        changed = [i for i in range(4096) if before[i] != after[i]]
+        assert changed == [6 * 128 + 127]
+        assert after == shadow[4096:8192]
+
+    @pytest.mark.parametrize("policy", [Policy.STATIC, Policy.PAGEMOVE,
+                                        Policy.STATCOMB])
+    def test_first_write_leaves_the_zero_slot_zero(self, policy):
+        cfg = small_config(policy)
+        sim = Simulator(cfg)
+        shadow = bytearray(cfg.host_space_bytes)
+        seq = self.play(sim, shadow, [("W", 3 * 4096 + 128 + 1, 64)])
+        for page in (4, 40, cfg.fast_pages + 20):
+            seq = self.play(sim, shadow, [("R", page * 4096 + 7 * 128, 128)],
+                            seq)
+            assert sim.peek(page * 4096, 4096) == bytes(4096)
+
+    def test_written_back_line_takes_its_own_slot(self):
+        # A block read first (so its page block has no slot), then written
+        # while cached, is written back on eviction into a slot of its own.
+        cfg = small_config(Policy.STATCOMB, promotion_threshold=8)
+        sim = Simulator(cfg)
+        shadow = bytearray(cfg.host_space_bytes)
+        page = cfg.fast_pages + 3
+        addr = page * 4096 + 4 * 128
+        seq = self.play(sim, shadow, [("R", addr, 64), ("W", addr, 64)])
+        sets = sim.cache.nsets
+        block_id = addr // 128
+        # Four more slow blocks of the same set, from other pages, evict it.
+        for k in range(1, 5):
+            seq = self.play(sim, shadow, [("R", (block_id + k * sets) * 128, 8)],
+                            seq)
+        assert sim.cache.peek(block_id) is None
+        assert sim.writebacks == 1
+        for other in (page * 4096, (page + 1) * 4096, 2 * 4096):
+            assert sim.peek(other, 128) == bytes(128)
+        assert sim.peek(page * 4096, 4096) == shadow[page * 4096:
+                                                     (page + 1) * 4096]
+        self.play(sim, shadow, [("R", addr, 64), ("R", 2 * 4096, 64)], seq)
+
+
 class TestLatencyDominance:
     def test_alldram_is_a_floor_for_every_policy(self):
         base = small_config(Policy.PAGEMOVE)
@@ -252,14 +448,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bloom"):
             small_config(Policy.PAGEMOVE, bloom_window=64).validate()
 
+    # (kind, host page) requests; each touches block 7p mod 32 of its page.
+    # The guard counts pages that hold content, read or written: the
+    # request that fires it is pinned for each trace.
+    GUARD_TRACES = {
+        "reads": ([("R", p) for p in (0, 1, 0, 2, 1, 3, 3, 4, 0, 5, 6, 2, 7,
+                                      1, 8, 9)], 14),
+        "writes": ([("W", p) for p in (15, 14, 15, 13, 12, 11, 14, 10, 9, 9,
+                                       8, 7, 6)], 11),
+        # Reads of never-written pages count as much as writes.
+        "mixed": ([("W", 0), ("R", 1), ("W", 1), ("R", 0), ("R", 2),
+                   ("W", 3), ("R", 3), ("R", 4), ("W", 5), ("R", 6),
+                   ("R", 5), ("W", 7), ("W", 2), ("R", 8), ("W", 9)], 13),
+    }
+
     def test_alldram_footprint_guard(self):
+        from tiersim import SimulationError
         cfg = small_config(Policy.ALLDRAM, fast_capacity_bytes=8 * 4096,
                            slow_capacity_bytes=8 * 4096)
         sim = Simulator(cfg)
-        from tiersim import SimulationError
         with pytest.raises(SimulationError):
             for page in range(16):
                 sim.dispatch(MemoryRequest("R", page * 4096, 64, page))
+        for name, (trace, fires_at) in self.GUARD_TRACES.items():
+            sim = Simulator(cfg)
+            served = []
+            with pytest.raises(SimulationError, match="more than 8 pages"):
+                for seq, (kind, page) in enumerate(trace):
+                    addr = page * 4096 + (7 * page % 32) * 128
+                    sim.dispatch(MemoryRequest(kind, addr, 64, seq))
+                    served.append(seq)
+            assert len(served) == fires_at, name
 
 
 def three_blocks_line():
