@@ -11,7 +11,9 @@ page that is not in flight asks a migrating policy for a swap or a block
 copy; static serves it and does nothing else.
 All-DRAM is the same path over an identity table whose pages are all fast.
 Both the cache line and the page block are served by one charge-and-copy
-site at the end of the path.
+site at the end of the path. Since no request crosses a block, its
+foreground charge is one unit: one bump of the ledger counter for its tier
+and kind, plus that counter's latency on the clock.
 
 Content is stored per block, since no request crosses one. Each internal
 page a run touches gets an index of its blocks' slots; a block's first write
@@ -33,7 +35,8 @@ from array import array
 from dataclasses import dataclass
 
 from .config import CACHING, MIGRATING, Policy, SimConfig
-from .metering import REPORT_SCHEMA_VERSION, MeterLedger, gib
+from .metering import (FAST_READ, FAST_WRITE, REPORT_SCHEMA_VERSION, SLOW_READ,
+                       SLOW_WRITE, MeterLedger, gib)
 from .migration import DmaEngine
 from .pagetable import PageTable
 from .policies import COPY_BLOCK, TRY_SWAP, make_controller, slow_touch_action
@@ -277,11 +280,15 @@ class Simulator:
                 buf = self.arenas[ref >> self.arena_shift]
                 offset = (ref & self.arena_mask) + in_block
 
+        # A request is one block-sized foreground unit: one counter bump.
         if kind == "R":
-            latency = ledger.charge(tier, "read", True, size)
+            counter = FAST_READ if tier == "fast" else SLOW_READ
         else:
-            latency = ledger.charge(tier, "write", True, size)
+            counter = FAST_WRITE if tier == "fast" else SLOW_WRITE
             buf[offset:offset + size] = write_payload(seq, size)
+        ledger.counts[counter] += 1
+        latency = ledger.unit_ns[counter]
+        ledger.total_foreground_ns += latency
         if self.migrating and tier == "slow" and not in_flight:
             self._slow_policy_actions(host_page, internal, block_id,
                                       block_in_page)

@@ -22,6 +22,13 @@ _COUNTER_INDEX = {(tier, kind, foreground): i for i, (foreground, tier, kind)
                                                  ("read", "write")))}
 
 
+# Index of each foreground counter in MeterLedger.counts, by (tier, kind).
+FAST_READ = _COUNTER_INDEX["fast", "read", True]
+FAST_WRITE = _COUNTER_INDEX["fast", "write", True]
+SLOW_READ = _COUNTER_INDEX["slow", "read", True]
+SLOW_WRITE = _COUNTER_INDEX["slow", "write", True]
+
+
 def _counter(index: int) -> property:
     return property(lambda self: self.counts[index])
 

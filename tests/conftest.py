@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tiersim import MemoryRequest, Policy, SimConfig, Simulator, TraceRecord
+from tiersim import MemoryRequest, Policy, SimConfig, Simulator, Trace
 
 
 def small_config(policy=Policy.PAGEMOVE, **overrides):
@@ -23,22 +23,26 @@ def small_config(policy=Policy.PAGEMOVE, **overrides):
 
 def random_records(n, host_space_bytes, seed, write_fraction=0.5,
                    page_bytes=4096, sizes=(8, 16, 64, 128)):
-    """Aligned, block-contained random requests over the whole host space."""
+    """Aligned, block-contained random requests over the whole host space,
+    packed into a `Trace`."""
     rng = random.Random(seed)
+    randrange, choice, rand = rng.randrange, rng.choice, rng.random
     pages = host_space_bytes // page_bytes
-    records = []
+    trace = Trace()
+    append = trace.append
     for _ in range(n):
-        page = rng.randrange(pages)
-        off = rng.randrange(0, page_bytes, 8)
-        size = min(rng.choice(sizes), 128 - off % 128)
-        kind = "W" if rng.random() < write_fraction else "R"
-        records.append(TraceRecord(kind, page * page_bytes + off, size))
-    return records
+        page = randrange(pages)
+        off = randrange(0, page_bytes, 8)
+        size = min(choice(sizes), 128 - off % 128)
+        append("W" if rand() < write_fraction else "R",
+               page * page_bytes + off, size)
+    return trace
 
 
-def shadow_run(config, records):
-    """Dispatch records while checking every read against a flat shadow
-    model of memory contents. Returns (simulator, report, mismatches).
+def shadow_run(config, trace):
+    """Dispatch a trace's records while checking every read against a flat
+    shadow model of memory contents. Returns (simulator, report,
+    mismatches).
 
     Also checks that the per-request outcomes add up to the report: their
     latencies and stalls to the elapsed time, and their devices to the
@@ -52,12 +56,12 @@ def shadow_run(config, records):
     mismatches = 0
     service_ns = 0
     fast_outcomes = 0
-    for seq, rec in enumerate(records):
-        addr, size = rec.host_addr, rec.size_bytes
-        out = sim.dispatch(MemoryRequest(rec.kind, addr, size, seq))
+    for seq, (kind, addr, size) in enumerate(
+            zip(trace.kinds, trace.addrs, trace.sizes)):
+        out = sim.dispatch(MemoryRequest(kind, addr, size, seq))
         service_ns += out.latency_ns + out.stall_ns
         fast_outcomes += out.device == "fast"
-        if rec.kind == "W":
+        if kind == "W":
             start = seq & 0xFF
             shadow[addr:addr + size] = cycle[start:start + size]
         elif out.data != shadow[addr:addr + size]:

@@ -115,7 +115,7 @@ class TestRun:
         if policy is Policy.ALLDRAM:
             cfg = small_config(policy, fast_capacity_bytes=1280 * 1024,
                                slow_capacity_bytes=0)
-        trace = Trace(random_records(4000, cfg.host_space_bytes, seed=16))
+        trace = random_records(4000, cfg.host_space_bytes, seed=16)
         looped = Simulator(cfg)
         for seq, rec in enumerate(trace):
             looped.dispatch(MemoryRequest(rec.kind, rec.host_addr,

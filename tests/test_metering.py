@@ -3,7 +3,8 @@ import math
 import pytest
 
 from tiersim import Policy, Simulator, metadata_cost
-from tiersim.metering import MeterLedger, gib
+from tiersim.metering import (FAST_READ, FAST_WRITE, SLOW_READ, SLOW_WRITE,
+                              MeterLedger, gib)
 
 from conftest import random_records, small_config
 
@@ -64,6 +65,33 @@ class TestCharge:
         assert led.charge("fast", "read", False, nbytes) == 0
         assert led.mig_fast_reads == units
         assert led.total_foreground_ns == 300 * units
+
+
+# The foreground counter each (tier, kind) request bumps.
+FOREGROUND = [("fast", "read", FAST_READ), ("fast", "write", FAST_WRITE),
+              ("slow", "read", SLOW_READ), ("slow", "write", SLOW_WRITE)]
+
+
+class TestForegroundCounters:
+    def test_constants_follow_fg_fields(self):
+        for tier, kind, index in FOREGROUND:
+            assert MeterLedger.FG_FIELDS[index] == f"{tier}_{kind}s"
+            led = make_ledger()
+            led.counts[index] += 1
+            assert getattr(led, f"{tier}_{kind}s") == 1
+            assert sum(led.counts) == 1
+
+    @pytest.mark.parametrize("nbytes", [1, 8, 64, 128])
+    @pytest.mark.parametrize("tier,kind,index", FOREGROUND)
+    def test_one_block_charge_is_one_counter_bump(self, tier, kind, index,
+                                                  nbytes):
+        charged, bumped = make_ledger(), make_ledger()
+        latency = charged.charge(tier, kind, True, nbytes)
+        bumped.counts[index] += 1
+        bumped.total_foreground_ns += bumped.unit_ns[index]
+        assert charged.counts == bumped.counts
+        assert latency == bumped.unit_ns[index] > 0
+        assert charged.total_foreground_ns == bumped.total_foreground_ns
 
 
 class TestBackgroundEnergy:

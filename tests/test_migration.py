@@ -208,8 +208,8 @@ class TestLazyLanding:
     @pytest.mark.parametrize("policy", (Policy.PAGEMOVE, Policy.ADPCOMB))
     def test_content_matches_oracle_mid_swap(self, policy, exact):
         cfg = small_config(policy, exact_recency=exact)
-        records = random_records(1500, cfg.host_space_bytes, seed=23,
-                                 write_fraction=0.6)
+        records = list(random_records(1500, cfg.host_space_bytes, seed=23,
+                                      write_fraction=0.6))
         sim = Simulator(cfg)
         checked = []
         for n, rec in enumerate(records):

@@ -88,7 +88,7 @@ class ReferenceBloom:
 
 
 class TestMemo:
-    @pytest.mark.parametrize("window", [1, 512])
+    @pytest.mark.parametrize("window", [1, 2, 512])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_memo_matches_reference(self, window, seed):
         # Keys come from [0, 2N): below N they go through the memo, from N
@@ -112,6 +112,45 @@ class TestMemo:
         assert answers == {True, False}
         assert memo.memo[(n - 1) * memo.k] != memo.nbits  # key N-1 was memoized
         assert len(memo.memo) == n * memo.k  # key N was not
+
+    @pytest.mark.parametrize("window", [1, 2, 512])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_runs_of_one_key_match_reference(self, window, seed):
+        # Stream-like traffic: long runs of one key, queried only mid-
+        # generation, on the record just before a rollover and on the one
+        # just after it, so the records in between pile up unflushed.
+        n = 64
+        lazy = BloomRecencyFilter(window, pages=n)
+        ref = ReferenceBloom(window, lazy.nbits, lazy.k)
+        rng = random.Random(seed)
+        query_at = {window // 2, window - 1, 0}
+        queries = answers = 0
+        while queries < 12:
+            key = rng.randrange(2 * n)
+            for _ in range(rng.choice((1, 2, window, 3 * window + 1))):
+                lazy.record(key)
+                ref.record(key)
+                if ref.count in query_at:
+                    queries += 1
+                    for probe in range(2 * n):
+                        answers += probe in ref
+                        assert (probe in lazy) == (probe in ref), probe
+        assert 0 < answers < queries * 2 * n
+
+    @pytest.mark.parametrize("window", [1, 2, 512])
+    def test_one_page_generation_sets_its_bits_once(self, window):
+        lazy = BloomRecencyFilter(window, pages=64)
+        ref = ReferenceBloom(window, lazy.nbits, lazy.k)
+        for _ in range(window):
+            lazy.record(7)
+            ref.record(7)
+        # The generation rolled over with no query: its bits were set when
+        # the active bank started aging, and no others.
+        aging = {pos for pos, bit in enumerate(lazy.aging) if bit}
+        assert aging == ref.aging
+        assert len(aging) <= lazy.k
+        assert not any(lazy.active) and not lazy.pending
+        assert 7 in lazy
 
     def test_memo_memory_is_flat(self):
         # A flat array of k 4-byte positions per page; a dict or per-page
