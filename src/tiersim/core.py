@@ -1,14 +1,20 @@
 """Top-level simulator: one request path over the page table, block cache,
 migration engine, policy layer and meters.
 
-Each request first lets the DMA engine catch up and records the access.
-A resident cache copy of the block is then served from fast memory, unless
-its page was promoted and is not in flight, in which case the line is
-recycled into the page. Next the engine locates the copy of an in-flight
-page that holds the byte (a write to the chunk being copied stalls until it
-lands); otherwise the remap table gives the page. A touch served from a slow
-page that is not in flight asks a migrating policy for a swap or a block
-copy; static serves it and does nothing else.
+Each request records the access, then catches the DMA engine up, but only
+when a swap is in flight and the request reaches a page of its pair or
+arrives at or after the swap's due time (`SwapJob.due_ns`, never after its
+completion); the engine's progress matters to nothing else. A resident
+cache copy of the block is then served from fast memory, unless its page
+was promoted and is not in flight, in which case the line is recycled into
+the page. Next the engine locates the copy of an in-flight page that holds
+the byte (a write to the chunk being copied stalls until it lands);
+otherwise the remap table gives the page. A touch served from a slow page
+that is not in flight asks a migrating policy for a swap or a block copy,
+unless the engine is busy and there is no block cache: then the only
+possible action, a swap, would be refused. Static serves the touch and does
+nothing else. A dirty cache victim written back by a block copy catches the
+engine up to the request's arrival before it is located.
 All-DRAM is the same path over an identity table whose pages are all fast.
 Both the cache line and the page block are served by one charge-and-copy
 site at the end of the path. Since no request crosses a block, its
@@ -229,16 +235,21 @@ class Simulator:
         ledger = self.ledger
         pagetable = self.pagetable
         pagetable.record_access(host_page, block_in_page)
-        # The address check above bounds host_page, so index the table.
+        # The engine's progress matters only to a page of the in-flight pair
+        # and to completion, so only those catch the engine up. The address
+        # check above bounds host_page, so index the table.
         engine = self.engine
-        if engine.job is None:
-            in_flight = False
-            internal = pagetable.table[host_page]
-        else:
+        job = engine.job
+        if job is not None and (host_page == job.src_host
+                                or host_page == job.dst_host
+                                or ledger.total_foreground_ns >= job.due_ns):
             engine.advance_to(ledger.total_foreground_ns)
             loc = engine.locate(host_page, offset_in_page)
             in_flight = loc is not None
             internal = loc if in_flight else pagetable.table[host_page]
+        else:
+            in_flight = False
+            internal = pagetable.table[host_page]
 
         # The cache copy, when present, is always the authoritative one.
         # Once its page is promoted and no longer in flight, it is recycled.
@@ -289,9 +300,14 @@ class Simulator:
         ledger.counts[counter] += 1
         latency = ledger.unit_ns[counter]
         ledger.total_foreground_ns += latency
-        if self.migrating and tier == "slow" and not in_flight:
+        # A busy engine refuses every swap, so without a block cache there
+        # is nothing else to do. No stall precedes a slow touch outside the
+        # pair, so the request arrived one latency ago.
+        if (self.migrating and tier == "slow" and not in_flight
+                and (engine.job is None or self.cache is not None)):
             self._slow_policy_actions(host_page, internal, block_id,
-                                      block_in_page)
+                                      block_in_page,
+                                      ledger.total_foreground_ns - latency)
         if outcome:
             # Policy actions copy this block out or write back another one,
             # so a read's bytes are still the ones it was served from.
@@ -320,7 +336,7 @@ class Simulator:
         return self.config.promotion_threshold
 
     def _slow_policy_actions(self, host_page, internal, block_id,
-                             block_in_page):
+                             block_in_page, arrival_ns):
         action = slow_touch_action(self.config.policy,
                                    self.pagetable.cached_blocks[host_page],
                                    self._live_threshold())
@@ -328,7 +344,8 @@ class Simulator:
             if not self.engine.busy and self.pagetable.candidate is not None:
                 self._start_swap(host_page, internal)
         elif action == COPY_BLOCK:
-            self._copy_block_in(host_page, internal, block_id, block_in_page)
+            self._copy_block_in(host_page, internal, block_id, block_in_page,
+                                arrival_ns)
 
     def _start_swap(self, host_page, internal):
         dst_host, dst_internal = self.pagetable.take_candidate()
@@ -349,7 +366,8 @@ class Simulator:
         self.pagetable.search_candidate(
             excluded_internal=(internal, dst_internal))
 
-    def _copy_block_in(self, host_page, internal, block_id, block_in_page):
+    def _copy_block_in(self, host_page, internal, block_id, block_in_page,
+                       arrival_ns):
         block = self.block_bytes
         data = bytes(self._slot_bytes(self._page_mem(internal)[block_in_page]))
         victim = self.cache.insert(block_id, data)
@@ -359,15 +377,18 @@ class Simulator:
         self.ledger.charge_migrated(block)
         self.block_relocations += 1
         if victim is not None:
-            self._evict_victim(victim)
+            self._evict_victim(victim, arrival_ns)
 
-    def _evict_victim(self, victim):
+    def _evict_victim(self, victim, arrival_ns):
+        """Write a dirty victim back to where its page's byte lives as of
+        the evicting request's arrival."""
         vtag, vdirty, vdata = victim
         v_host = vtag // self.blocks_per_page
         self.pagetable.drop_cached_block(v_host)
         if not vdirty:
             return
         v_offset = (vtag % self.blocks_per_page) * self.block_bytes
+        self.engine.advance_to(arrival_ns)
         if self._write_back(self._locate(v_host, v_offset), vtag,
                             vdata) == "fast":
             self.recycles += 1

@@ -1,7 +1,8 @@
 """Background DMA model: full-page swaps between tiers with chunk-granular
 progress, plus the locator for requests that hit a page while it is in
-flight. Chunk content lands lazily: only when a pair page is located or the
-swap completes."""
+flight. Progress is a pure function of time, so it is counted only where
+it is read; chunk content lands only when a pair page is located or the swap
+completes."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ class SwapJob:
     start_ns: int
     page_bytes: int
     chunk_bytes: int
+    due_ns: int                 # never after the first ns it completes
     applied_chunks: int = 0     # chunks copied by the timing model
     exchanged_chunks: int = 0   # of those, chunks moved in the content model
 
@@ -31,7 +33,12 @@ class DmaEngine:
 
     Both directions of a swap advance in lockstep through a bounce buffer,
     so one scalar tracks progress and completion takes
-    2 * page_bytes / bandwidth.  Advancing the engine only moves the timing
+    2 * page_bytes / bandwidth. Progress is a pure function of time
+    (`chunks_done`), so the engine's clock is lazy: the caller advances it
+    only before reading progress (a request to a page of the pair, a write
+    stall, a victim write-back) and once the clock reaches the job's
+    `due_ns`, so completion fires on the same request as it would if every
+    request advanced the engine. Advancing the engine only moves the timing
     model's progress. The copied chunks land in the content model later, in
     one exchange: when `locate` is about to return a page of the in-flight
     pair, or when the swap completes. `locate` is the only way to reach the
@@ -62,9 +69,24 @@ class DmaEngine:
     def start_swap(self, src_host, src_internal, dst_host, dst_internal,
                    now_ns: int) -> SwapJob:
         assert self.job is None, "single DMA engine: swap already active"
+        # `chunks_done` completes at the first elapsed ns whose rounded
+        # product reaches the page. Rounding moves that far less than a ns
+        # from the exact duration, so it is never below floor(duration); one
+        # ns less is a margin, and checking early costs one extra call.
+        due_ns = now_ns + math.floor(self.duration_ns()) - 1
         self.job = SwapJob(src_host, src_internal, dst_host, dst_internal,
-                           now_ns, self.page_bytes, self.chunk_bytes)
+                           now_ns, self.page_bytes, self.chunk_bytes, due_ns)
         return self.job
+
+    def chunks_done(self, now_ns: int) -> int:
+        """Chunks the in-flight swap has copied by `now_ns`, `total_chunks`
+        once it is complete. Moves no progress."""
+        job = self.job
+        # Each direction has moved half of the bytes the engine carried.
+        moved = (now_ns - job.start_ns) * self.bandwidth / 2
+        if moved < self.page_bytes:
+            return int(moved // self.chunk_bytes)
+        return job.total_chunks
 
     def advance_to(self, now_ns: int):
         """Count chunk copies up to `now_ns`; on completion, land the rest
@@ -72,14 +94,12 @@ class DmaEngine:
         job = self.job
         if job is None:
             return
-        # Each direction has moved half of the bytes the engine carried.
-        moved = (now_ns - job.start_ns) * self.bandwidth / 2
-        if moved < self.page_bytes:
-            done = int(moved // self.chunk_bytes)
+        done = self.chunks_done(now_ns)
+        if done < job.total_chunks:
             if done > job.applied_chunks:
                 job.applied_chunks = done
         else:
-            job.applied_chunks = job.total_chunks
+            job.applied_chunks = done
             self._land(job)
             self.job = None
             self.completed_swaps += 1

@@ -19,7 +19,7 @@ from .config import CACHING, MIGRATING, Policy
 from .metering import REPORT_SCHEMA_VERSION
 from .pagetable import BITMAP_BITS, COUNTER_MAX
 from .recency import mix64
-from .trace import TraceError
+from .trace import Trace, TraceError
 
 
 class OracleError(RuntimeError):
@@ -27,11 +27,14 @@ class OracleError(RuntimeError):
 
 
 def oracle_run(records, config):
-    """Run the trace through the reference model.
+    """Run a `Trace`, or any iterable of records packed into one, through
+    the reference model.
 
     Returns (report, content_digest).
     """
     cfg = config.validate()
+    trace = records if isinstance(records, Trace) else Trace(records)
+    columns = zip(trace.kinds, trace.addrs, trace.sizes)
     policy = cfg.policy
     page = cfg.page_size_bytes
     block = cfg.block_size_bytes
@@ -83,25 +86,25 @@ def oracle_run(records, config):
 
     if policy is Policy.ALLDRAM:
         footprint_pages = set()
-        for seq, rec in enumerate(records):
-            _validate(rec, seq, cfg)
-            touched.add(rec.host_addr // block)
-            if rec.kind == "R":
+        for seq, (kind, addr, size) in enumerate(columns):
+            _validate(addr, size, seq, cfg)
+            touched.add(addr // block)
+            if kind == "R":
                 n_reads += 1
             else:
                 n_writes += 1
-            hp = rec.host_addr // page
+            hp = addr // page
             if hp not in footprint_pages:
                 footprint_pages.add(hp)
                 if len(footprint_pages) * page > cfg.fast_capacity_bytes:
                     raise OracleError("all-DRAM run exceeds fast capacity")
-            if rec.kind == "R":
-                charge("fast", "read", True, rec.size_bytes)
+            if kind == "R":
+                charge("fast", "read", True, size)
             else:
-                charge("fast", "write", True, rec.size_bytes)
-                apply_write(rec.host_addr, rec.size_bytes, seq)
+                charge("fast", "write", True, size)
+                apply_write(addr, size, seq)
         return _report(cfg, counts, clock, stall_ns, write_stalls,
-                       migrated_bytes, n_reads, n_writes, len(records),
+                       migrated_bytes, n_reads, n_writes, len(trace),
                        len(footprint_pages), 0, 0, 0, 0,
                        cfg.promotion_threshold), _digest(content, touched, block)
 
@@ -260,9 +263,8 @@ def oracle_run(records, config):
         return thr
 
     # Main loop.
-    for seq, rec in enumerate(records):
-        _validate(rec, seq, cfg)
-        kind, addr, size = rec.kind, rec.host_addr, rec.size_bytes
+    for seq, (kind, addr, size) in enumerate(columns):
+        _validate(addr, size, seq, cfg)
         arrival_ns = clock   # DMA progress snapshots use the arrival time
         if kind == "R":
             n_reads += 1
@@ -402,21 +404,22 @@ def oracle_run(records, config):
 
     footprint = len({b // bpp for b in touched})
     report = _report(cfg, counts, clock, stall_ns, write_stalls,
-                     migrated_bytes, n_reads, n_writes, len(records),
+                     migrated_bytes, n_reads, n_writes, len(trace),
                      footprint, page_relocations, block_relocations,
                      writebacks, recycles, threshold)
     return report, _digest(content, touched, block)
 
 
-def _validate(rec, seq, cfg):
-    if rec.size_bytes <= 0 or rec.size_bytes > cfg.block_size_bytes:
-        raise TraceError(f"request {seq}: bad size {rec.size_bytes}")
-    first = rec.host_addr // cfg.block_size_bytes
-    last = (rec.host_addr + rec.size_bytes - 1) // cfg.block_size_bytes
+def _validate(addr, size, seq, cfg):
+    # Packing into a `Trace` has already checked the kind.
+    if size <= 0 or size > cfg.block_size_bytes:
+        raise TraceError(f"request {seq}: bad size {size}")
+    first = addr // cfg.block_size_bytes
+    last = (addr + size - 1) // cfg.block_size_bytes
     if first != last:
         raise TraceError(f"request {seq}: crosses a block boundary")
-    if rec.host_addr < 0 or rec.host_addr + rec.size_bytes > cfg.host_space_bytes:
-        raise TraceError(f"request {seq}: address {rec.host_addr:#x} "
+    if addr < 0 or addr + size > cfg.host_space_bytes:
+        raise TraceError(f"request {seq}: address {addr:#x} "
                          f"beyond configured capacity ({cfg.host_space_bytes:#x})")
 
 

@@ -303,7 +303,8 @@ class TestContentMemory:
         job = sim.engine.job
         assert job is not None and sim.next_slot == 2 * 128
         seq = 1
-        while job.applied_chunks < 8:    # unrelated traffic: no landing yet
+        # Unrelated traffic until 8 chunks are copied: no landing yet.
+        while sim.engine.chunks_done(sim.ledger.total_foreground_ns) < 8:
             sim.dispatch(MemoryRequest("R", 7 * 4096, 64, seq))
             seq += 1
         assert job.exchanged_chunks == 0
@@ -343,7 +344,8 @@ class TestBlockContent:
         ])
         job = sim.engine.job
         assert job is not None and job.src_host == page
-        while job.applied_chunks < 12:         # fast traffic elsewhere
+        # Fast traffic elsewhere until 12 chunks are copied.
+        while sim.engine.chunks_done(sim.ledger.total_foreground_ns) < 12:
             seq = self.play(sim, shadow, [("R", 3 * 4096, 8)], seq)
         # A write into a copied chunk lands the first part of the swap.
         seq = self.play(sim, shadow, [("W", base + 5 * 128 + 120, 8)], seq)

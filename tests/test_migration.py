@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
-from tiersim import MemoryRequest, Policy, Simulator, oracle_run
+from tiersim import MemoryRequest, Policy, Simulator, TraceRecord, core, oracle_run
 from tiersim.migration import DmaEngine
+from tiersim.policies import slow_touch_action
 
 from conftest import random_records, small_config
 
@@ -97,6 +99,36 @@ class TestEngine:
         chunks = eng.job.applied_chunks
         eng.advance_to(50)  # stale time must not roll progress back
         assert eng.job.applied_chunks == chunks
+
+    def test_due_is_never_after_completion(self):
+        # The request path skips the engine until the clock reaches `due_ns`,
+        # so a due time after the first completing ns would delay completion.
+        rng = random.Random(17)
+        bandwidths = ([0.1, 1 / 3, 3.0, 6.4, 7.3, 0.7, 12.8, 100.0, 2.0, 8.0]
+                      + [rng.uniform(0.05, 64.0) for _ in range(150)])
+        for page, chunk in ((2048, 128), (4096, 128), (65536, 256)):
+            for bw in bandwidths:
+                start = rng.randrange(1 << 40)
+                eng, done = make_engine(page, chunk, bw)
+                job = eng.start_swap(1, 9, 0, 3, now_ns=start)
+                first = start + max(0, math.floor(eng.duration_ns()) - 3)
+                while eng.chunks_done(first) < job.total_chunks:
+                    first += 1
+                assert first - 2 <= job.due_ns <= first, (page, bw)
+                # `first` is where advance_to itself completes.
+                eng.advance_to(first - 1)
+                assert eng.job is job and not done, (page, bw)
+                eng.advance_to(first)
+                assert eng.job is None and done == [job], (page, bw)
+
+    def test_chunks_done_moves_no_progress(self):
+        eng, done = make_engine()
+        eng.start_swap(7, 80, 3, 2, now_ns=100)
+        assert eng.chunks_done(612) == 16     # 512 ns at 4 B/ns a direction
+        assert eng.chunks_done(10_000) == 32  # complete
+        assert eng.job.applied_chunks == 0 and not done
+        eng.advance_to(612)
+        assert eng.job.applied_chunks == 16
 
     def test_route_and_stall(self):
         eng, _ = make_engine()
@@ -216,7 +248,8 @@ class TestLazyLanding:
             sim.dispatch(MemoryRequest(rec.kind, rec.host_addr,
                                        rec.size_bytes, n))
             job = sim.engine.job
-            if (job is not None and 0 < job.applied_chunks < job.total_chunks
+            if (job is not None and 0 < sim.engine.chunks_done(
+                    sim.ledger.total_foreground_ns) < job.total_chunks
                     and n >= (checked[-1] + 60 if checked else 0)):
                 assert sim.content_digest() == \
                     oracle_run(records[:n + 1], cfg)[1], f"request {n}"
@@ -279,3 +312,98 @@ def test_migrated_byte_accounting():
                          + dirty_merges)
     assert rep["migrated_bytes"] == page_bytes + block_bytes
     assert rep["mig_slow_writes"] == 32 * rep["page_relocations"] + rep["writebacks"]
+
+
+class TestLazyClock:
+    """A busy engine is caught up only where its progress is read: at a page
+    of the in-flight pair, a write stall, a victim write-back and
+    completion."""
+
+    @staticmethod
+    def counted_run(monkeypatch, cfg, n, seed):
+        records = random_records(n, cfg.host_space_bytes, seed=seed)
+        expected = Simulator(cfg).run(records)
+        sim = Simulator(cfg)
+        advances = []
+        busy_at_decision = []
+        advance_to = DmaEngine.advance_to
+
+        def counted_advance(engine, now_ns):
+            advances.append(now_ns)
+            return advance_to(engine, now_ns)
+
+        def counted_action(*args):
+            busy_at_decision.append(sim.engine.busy)
+            return slow_touch_action(*args)
+
+        monkeypatch.setattr(DmaEngine, "advance_to", counted_advance)
+        monkeypatch.setattr(core, "slow_touch_action", counted_action)
+        busy_requests = pair_touches = 0
+        page = cfg.page_size_bytes
+        for seq, rec in enumerate(records):
+            job = sim.engine.job
+            if job is not None:
+                busy_requests += 1
+                pair_touches += rec.host_addr // page in (job.src_host,
+                                                          job.dst_host)
+            sim.dispatch(MemoryRequest(rec.kind, rec.host_addr,
+                                       rec.size_bytes, seq))
+        report = sim.finish()
+        assert report == expected
+        return report, advances, busy_at_decision, busy_requests, pair_touches
+
+    def test_pagemove_advances_once_per_swap_and_pair_touch(self, monkeypatch):
+        cfg = small_config(Policy.PAGEMOVE, bloom_window=8,
+                           dma_bandwidth_bytes_per_ns=2.0)
+        report, advances, decisions, busy, pair = self.counted_run(
+            monkeypatch, cfg, 4000, seed=31)
+        swaps = report["page_relocations"]
+        assert swaps > 100
+        # A stalled write catches the engine up a second time.
+        assert len(advances) <= swaps + pair + report["write_stalls"]
+        assert len(advances) < busy / 4   # far fewer than busy requests
+        # A busy engine refuses every swap, and pagemove has no cache, so
+        # the policy is only asked while the engine is idle.
+        assert not any(decisions)
+        assert len(decisions) == swaps
+
+    def test_adpcomb_still_decides_while_the_engine_is_busy(self, monkeypatch):
+        cfg = small_config(Policy.ADPCOMB, bloom_window=8,
+                           dma_bandwidth_bytes_per_ns=2.0)
+        report, advances, decisions, busy, _ = self.counted_run(
+            monkeypatch, cfg, 4000, seed=31)
+        assert report["page_relocations"] > 10
+        assert report["block_relocations"] > 100
+        # Block copies do not need the engine, so they still reach the policy.
+        assert any(decisions)
+        assert len(advances) < busy / 4
+
+    def test_victim_write_back_sees_progress_since_the_last_pair_touch(self):
+        # A dirty cache line of the page being promoted is evicted after
+        # its chunk was copied, with no request to the pair in between: the
+        # write-back must land in the page's new, fast copy.
+        cfg = small_config(Policy.STATCOMB, promotion_threshold=2,
+                           bloom_window=8, dma_bandwidth_bytes_per_ns=0.5)
+        page = cfg.fast_pages + 9
+        sets_apart = cfg.cache_sets // cfg.blocks_per_page   # same cache set
+        records = [TraceRecord("W", page * 4096, 64),         # copied in
+                   TraceRecord("W", page * 4096 + 8, 8),      # dirty line
+                   TraceRecord("R", page * 4096 + 128, 8),    # copied in
+                   TraceRecord("R", page * 4096 + 256, 8)]    # swap starts
+        records += [TraceRecord("R", 3 * 4096, 8)] * 20       # chunk 0 copies
+        records += [TraceRecord("R", (page + k * sets_apart) * 4096, 8)
+                    for k in (1, 2, 3, 4)]                    # the 4th evicts
+        sim = Simulator(cfg)
+        for seq, rec in enumerate(records[:4]):
+            sim.dispatch(MemoryRequest(rec.kind, rec.host_addr,
+                                       rec.size_bytes, seq))
+        job = sim.engine.job
+        assert job is not None and job.src_host == page
+        for seq, rec in enumerate(records[4:], 4):
+            sim.dispatch(MemoryRequest(rec.kind, rec.host_addr,
+                                       rec.size_bytes, seq))
+        assert sim.engine.job is job and 0 < job.applied_chunks
+        assert sim.cache.peek(page * cfg.blocks_per_page) is None
+        assert (sim.recycles, sim.writebacks) == (1, 0)
+        report = sim.finish()
+        assert (report, sim.content_digest()) == oracle_run(records, cfg)

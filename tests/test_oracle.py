@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,26 @@ class TestDifferential:
         rng = random.Random(hash(policy.value) & 0xFFFF)
         for trial in range(12):
             cfg = random_config(rng, policy)
+            recs = random_records(1200, cfg.host_space_bytes,
+                                  seed=rng.randrange(1 << 20),
+                                  write_fraction=rng.choice([0.2, 0.5, 0.8]))
+            sim = Simulator(cfg)
+            report = sim.run(recs)
+            oracle_report, oracle_digest = oracle_run(recs, cfg)
+            assert report == oracle_report, f"trial {trial}"
+            assert sim.content_digest() == oracle_digest, f"trial {trial}"
+
+    @pytest.mark.parametrize("bandwidth", (0.1, 3.0, 6.4, 7.3))
+    @pytest.mark.parametrize("policy", (Policy.PAGEMOVE, Policy.STATCOMB,
+                                        Policy.ADPCOMB))
+    def test_bandwidths_whose_swap_time_is_inexact(self, policy, bandwidth):
+        # 2 * page / bandwidth is not an exact float at these bandwidths, so
+        # a request-path guard in front of the DMA engine that trusted the
+        # rounded duration could see a swap complete one request late.
+        rng = random.Random(f"{policy.value} {bandwidth}")
+        for trial in range(4):
+            cfg = dataclasses.replace(random_config(rng, policy),
+                                      dma_bandwidth_bytes_per_ns=bandwidth)
             recs = random_records(1200, cfg.host_space_bytes,
                                   seed=rng.randrange(1 << 20),
                                   write_fraction=rng.choice([0.2, 0.5, 0.8]))
