@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import bisect
 import gzip
+import io
 import random
+import re
+import zlib
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
-from operator import eq
+from itertools import accumulate, repeat
+from operator import add, eq, mod
 
 from .recency import mix64
 
@@ -19,6 +22,19 @@ DEFAULT_BLOCK_BYTES = 128
 
 WORKLOAD_KINDS = ("sequential", "strided", "zipfian", "sparse-wide",
                   "streaming-store")
+
+
+# The canonical line `write_trace` writes, and the pattern of a run of such
+# lines (sizes positive, the last line's newline optional) that
+# `load_trace` parses in bulk.
+_format_line = "{} {:#x} {}".format
+_CANONICAL = re.compile(rb"(?:[RW] 0x[0-9a-f]+ [1-9][0-9]*\n)*"
+                        rb"(?:[RW] 0x[0-9a-f]+ [1-9][0-9]*)?")
+# Bytes per chunk `load_trace` reads, and records per chunk `write_trace`
+# writes. A chunk's tokens are resident while it is parsed, so a larger
+# chunk raises the peak RSS of a process holding a small trace.
+_CHUNK_BYTES = 64 * 1024
+_WRITE_RECORDS = 4096
 
 
 class TraceError(ValueError):
@@ -32,7 +48,7 @@ class TraceRecord:
     size_bytes: int
 
     def line(self) -> str:
-        return f"{self.kind} {self.host_addr:#x} {self.size_bytes}"
+        return _format_line(self.kind, self.host_addr, self.size_bytes)
 
 
 # The columns hold addresses below 2**64 and sizes below 2**32; a block of
@@ -101,18 +117,17 @@ class Trace:
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-def split_record(kind: str, addr: int, size: int,
-                 block_bytes: int = DEFAULT_BLOCK_BYTES):
-    """Split one request at block boundaries, preserving order and bytes."""
-    pieces = Trace()
-    pieces.append(kind, addr, size, block_bytes)
-    return list(pieces)
-
-
 def parse_trace(stream, block_bytes: int = DEFAULT_BLOCK_BYTES) -> Trace:
     """Parse `R|W <hex-addr> [<size>]` lines into a trace of split records."""
     trace = Trace()
-    for lineno, raw in enumerate(stream, 1):
+    _parse_lines(trace, stream, block_bytes)
+    return trace
+
+
+def _parse_lines(trace, lines, block_bytes, lineno=0):
+    """Append the records of `lines`, numbered from `lineno + 1`, to
+    `trace`, and return the number of the last line."""
+    for lineno, raw in enumerate(lines, lineno + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -136,7 +151,66 @@ def parse_trace(stream, block_bytes: int = DEFAULT_BLOCK_BYTES) -> Trace:
             trace.append(kind, addr, size, block_bytes)
         except TraceError as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
-    return trace
+    return lineno
+
+
+def _canonical_head(chunk) -> int:
+    """The length of the run of canonical lines `chunk` starts with: all of
+    it, or up to the newline before its first other line."""
+    end = _CANONICAL.match(chunk).end()
+    return end if end == len(chunk) else chunk.rfind(b"\n", 0, end) + 1
+
+
+def _extend_canonical(trace, lines, block_bytes) -> bool:
+    """Append canonical `lines` to `trace`, building its columns with
+    C-level calls; a request that crosses a block is split as
+    `Trace.append` splits it. Return False, leaving `trace` as it was, when
+    a value does not fit its column; the line parser then takes the lines."""
+    tokens = lines.split()
+    try:
+        addrs = array("Q", map(int, tokens[1::3], repeat(16)))
+        sizes = array("I", map(int, tokens[2::3]))
+    except OverflowError:
+        return False
+    # Stricter than `addr + size <= 2**64` per record, which the line
+    # parser checks with the line number in its message.
+    if max(addrs) + max(sizes) > _ADDR_END:
+        return False
+    kinds = b"".join(tokens[0::3])
+    if max(map(add, map(mod, addrs, repeat(block_bytes)), sizes)) > block_bytes:
+        for kind, addr, size in zip(kinds.decode("ascii"), addrs, sizes):
+            trace.append(kind, addr, size, block_bytes)
+        return True
+    trace._kinds += kinds
+    trace.addrs += addrs
+    trace.sizes += sizes
+    return True
+
+
+def _chunks(fh):
+    """The bytes of `fh` in chunks that end at a line end, except the last;
+    a chunk is at most `_CHUNK_BYTES` long unless one line is. A line ends
+    at b"\n" or at a b"\r" not followed by b"\n", as in a file opened as
+    text."""
+    held, held_bytes = [], 0
+    while True:
+        room = _CHUNK_BYTES - held_bytes
+        block = fh.read(room if room > 0 else _CHUNK_BYTES)
+        if not block:
+            break
+        # Only the bytes just read are searched, so a long line costs
+        # linear time; a final b"\r" may begin a b"\r\n" and is held.
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            held.append(block[:cut])
+            yield b"".join(held)
+            block = block[cut:]
+            held, held_bytes = [], 0
+        held.append(block)
+        held_bytes += len(block)
+    tail = b"".join(held)
+    if tail:
+        yield tail
 
 
 def open_trace(path, mode="rt"):
@@ -146,15 +220,38 @@ def open_trace(path, mode="rt"):
 
 
 def load_trace(path, block_bytes: int = DEFAULT_BLOCK_BYTES) -> Trace:
-    with open_trace(path) as fh:
-        return parse_trace(fh, block_bytes)
+    """Load a trace file (`.gz` is decompressed) into a trace of split
+    records, exactly as `parse_trace` on the file opened as text would.
+    The lines of a chunk in `write_trace`'s form, up to the first line that
+    is not, are parsed in bulk; the rest of the chunk goes through the
+    line parser."""
+    trace = Trace()
+    lineno = 0
+    try:
+        with open_trace(path, "rb") as fh:
+            for chunk in _chunks(fh):
+                head = _canonical_head(chunk) if block_bytes >= 1 else 0
+                if head and _extend_canonical(trace, chunk[:head], block_bytes):
+                    lineno += chunk.count(b"\n", 0, head)
+                    chunk = chunk[head:]
+                if chunk:
+                    lineno = _parse_lines(trace, io.TextIOWrapper(io.BytesIO(chunk)),
+                                          block_bytes, lineno)
+    except (EOFError, zlib.error, gzip.BadGzipFile, UnicodeDecodeError) as exc:
+        raise TraceError(f"{path}: unreadable trace: {exc}") from None
+    return trace
 
 
 def write_trace(path, records):
     """Write records one per line; a `.gz` path is gzip-compressed."""
+    if not isinstance(records, Trace):
+        records = Trace(records)
     with open_trace(path, "wt") as fh:
-        for rec in records:
-            fh.write(rec.line() + "\n")
+        for start in range(0, len(records), _WRITE_RECORDS):
+            stop = start + _WRITE_RECORDS
+            lines = map(_format_line, records._kinds[start:stop].decode("ascii"),
+                        records.addrs[start:stop], records.sizes[start:stop])
+            fh.write("\n".join(lines) + "\n")
 
 
 # Synthetic workloads -------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tiersim import Simulator
 from tiersim.cli import main
 
@@ -103,6 +105,25 @@ class TestRun:
                          trace, "--policy", "pagemove")
             assert rc == 1
             assert "block size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, damage", [
+        ("t.trc.gz", lambda data: data[:1000]),
+        ("t.trc.gz", lambda data: data[:20] + bytes(range(100)) + data[120:]),
+        ("t.trc.gz", lambda data: b"not gzip"),
+        ("t.trc", lambda data: b"# \xff\n" + data),
+    ], ids=["truncated-gz", "corrupt-gz", "not-gz", "not-utf8"])
+    def test_unreadable_trace_is_a_trace_error(self, tmp_path, capsys, name,
+                                               damage):
+        path = tmp_path / name
+        rc = run_cli("gen", "--gen", "sequential", "--pages", "16",
+                     "--requests", "20000", "--out", str(path))
+        assert rc == 0
+        path.write_bytes(damage(path.read_bytes()))
+        rc = run_cli("run", *BASE, "--trace", str(path), "--policy", "static")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: unreadable trace:")
+        assert "Traceback" not in err
 
     def test_missing_workload_errors(self, capsys):
         rc = run_cli("run", *BASE, "--policy", "pagemove")

@@ -16,7 +16,7 @@ POLICIES = (Policy.STATIC, Policy.PAGEMOVE, Policy.STATCOMB, Policy.ADPCOMB,
 class TestDifferential:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_reports_bit_identical_in_exact_mode(self, policy):
-        rng = random.Random(hash(policy.value) & 0xFFFF)
+        rng = random.Random(f"exact {policy.value}")
         for trial in range(12):
             cfg = random_config(rng, policy)
             recs = random_records(1200, cfg.host_space_bytes,

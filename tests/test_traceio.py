@@ -1,17 +1,30 @@
 import gzip
 import io
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tiersim import trace as trace_module
 from tiersim.trace import (Trace, TraceError, TraceRecord, WorkloadSpec,
                            generate, load_trace, open_trace, parse_trace,
-                           split_record, write_trace)
+                           write_trace)
 
 
 def parse_lines(*lines, block=128):
     return parse_trace(io.StringIO("\n".join(lines)), block)
+
+
+def split_record(kind, addr, size, block_bytes=128):
+    """Split one request at block boundaries, preserving order and bytes."""
+    pieces = Trace()
+    pieces.append(kind, addr, size, block_bytes)
+    return list(pieces)
 
 
 class TestParse:
@@ -62,6 +75,17 @@ class TestParse:
         path = tmp_path / "t.trc"
         write_trace(str(path), recs)
         assert load_trace(str(path)) == recs
+
+    def test_write_packs_a_list_of_records(self, tmp_path):
+        recs = [TraceRecord("R", 0x40, 64), TraceRecord("W", 0x1000, 8)]
+        path = tmp_path / "t.trc"
+        write_trace(path, recs)
+        assert path.read_text() == "R 0x40 64\nW 0x1000 8\n"
+        # A record the loader would reject is refused before the file opens.
+        bad = tmp_path / "bad.trc"
+        with pytest.raises(TraceError, match="request 1"):
+            write_trace(bad, [recs[0], TraceRecord("X", 0, 64)])
+        assert not bad.exists()
 
     def test_address_past_the_column_names_its_line(self):
         with pytest.raises(TraceError, match="line 2: R 0x10000000000000000 64 "
@@ -175,6 +199,123 @@ class TestPackedTrace:
         trace = generate(spec)
         assert isinstance(trace, Trace)
         assert Trace(list(trace)) == trace
+
+
+_FORMAT = "{} {:#x} {}".format
+# Lines in write_trace's form. Valid ones load whole at blocks of 64 bytes
+# and up; the edge ones cross blocks, end past 2**64 or hold a size that
+# the line parser rejects.
+_VALID_LINE = st.builds(_FORMAT, st.sampled_from("RW"),
+                        st.integers(0, 1 << 14).map(lambda k: 64 * k),
+                        st.sampled_from([1, 8, 64]))
+_EDGE_LINE = st.builds(
+    _FORMAT, st.sampled_from("RW"),
+    st.one_of(st.integers(0, 1 << 20),
+              st.integers((1 << 64) - 64, (1 << 64) + 4)),
+    st.one_of(st.integers(1, 300), st.sampled_from([0, 1 << 32])))
+_OTHER_LINE = st.one_of(
+    st.sampled_from(["", "   ", "# header", "# café ☃ comment",
+                     "R 0x40 64  # trailing", "X 0x0 64", "R zzz 64",
+                     "R 0x0 abc", "W", "R 0x0 64 5", "R 0xABC 64",
+                     "W 0x80 064"]),
+    st.builds(_FORMAT, st.sampled_from("rw"), st.integers(0, 1 << 20),
+              st.integers(1, 300)),
+    st.builds("{} {:#x}".format, st.sampled_from("RWrw"), st.integers(0, 1 << 20)),
+)
+
+
+@st.composite
+def _trace_text(draw):
+    """Valid canonical lines, canonical lines with edge cases among them, or
+    a mix of every kind of line with LF, CRLF or bare CR endings; the last
+    line end is perhaps left off."""
+    style = draw(st.sampled_from(["valid", "edge", "mixed"]))
+    if style == "mixed":
+        line = st.one_of(_VALID_LINE, _EDGE_LINE, _OTHER_LINE)
+        lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])),
+                              max_size=24))
+    else:
+        line = _VALID_LINE if style == "valid" else st.one_of(
+            _VALID_LINE, _VALID_LINE, _EDGE_LINE)
+        lines = [(text, "\n") for text in draw(st.lists(line, max_size=24))]
+    text = "".join(line + end for line, end in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def _columns_or_error(load):
+    try:
+        trace = load()
+    except TraceError as exc:
+        return str(exc)
+    return trace.kinds, trace.addrs, trace.sizes
+
+
+class TestBulkLoad:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @example(text="R 0x40 64\nW 0x80 0", block=128, chunk_bytes=256)
+    @example(text="W 0x40 8\nR 0x40 65\n", block=128, chunk_bytes=256)
+    @example(text="W 0xffffffffffffffff 2\n", block=3, chunk_bytes=256)
+    @example(text="R 0x40 64\rW 0x80 8\r\nR 0x0 1\r\rW 0x0 0\r", block=128,
+             chunk_bytes=16)
+    @example(text="W 0x0 8\nR 0x40 64 5\n", block=128, chunk_bytes=256)
+    @given(text=_trace_text(),
+           block=st.sampled_from([0, 1, 3, 100, 128, 128, 4096, 4096]),
+           chunk_bytes=st.sampled_from([1, 16, 40, 96, 256]))
+    def test_load_matches_the_line_parser(self, text, block, chunk_bytes):
+        # The reference reads the text with universal newlines, as a file
+        # opened in text mode does.
+        want = _columns_or_error(
+            lambda: parse_trace(io.StringIO(text, newline=None), block))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(trace_module, "_CHUNK_BYTES", chunk_bytes):
+            plain, packed = Path(tmp, "t.trc"), Path(tmp, "t.trc.gz")
+            plain.write_bytes(text.encode("utf-8"))
+            with gzip.open(packed, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            for path in (plain, packed):
+                assert _columns_or_error(lambda: load_trace(path, block)) == want
+
+    @pytest.mark.parametrize("block", [128, 64])
+    @pytest.mark.parametrize("name", ["t.trc", "t.trc.gz"])
+    def test_canonical_files_skip_the_line_parser(self, tmp_path, name, block):
+        # At 64-byte blocks every 128-byte request crosses a block and is
+        # split in the bulk path.
+        spec = WorkloadSpec(kind="zipfian", footprint_bytes=64 * 4096,
+                            request_count=3000, request_bytes=128, seed=5)
+        recs = generate(spec, 128)
+        text = "".join(rec.line() + "\n" for rec in recs)
+        path = tmp_path / name
+        with mock.patch.object(trace_module, "_WRITE_RECORDS", 7):
+            write_trace(path, recs)
+        with open_trace(path, "rb") as fh:
+            assert fh.read() == text.encode("ascii")
+        want = parse_trace(io.StringIO(text), block)
+        assert len(want) == (2 * len(recs) if block == 64 else len(recs))
+        with mock.patch.object(trace_module, "_CHUNK_BYTES", 1000), \
+                mock.patch.object(trace_module, "_parse_lines",
+                                  side_effect=AssertionError("line parser")):
+            assert load_trace(path, block) == want
+
+    @pytest.mark.parametrize("data", [
+        b"R 0x40 64\r" * 500,
+        b"R 0x40 64\r\n" * 500,
+        b"# " + b"x" * 5000 + b"\nR 0x40 64\n",
+        b"\r" * 300 + b"\n" * 300,
+    ], ids=["bare-cr", "crlf", "long-line", "bare-line-ends"])
+    def test_chunks_end_at_line_ends(self, data):
+        with mock.patch.object(trace_module, "_CHUNK_BYTES", 100):
+            chunks = list(trace_module._chunks(io.BytesIO(data)))
+        assert b"".join(chunks) == data
+        # A chunk is at most 100 bytes longer than its longest line, and
+        # every chunk but the last ends at a line end no b"\n" continues.
+        for chunk in chunks:
+            assert len(chunk) <= 100 + max(map(len, chunk.splitlines(True)))
+        for chunk in chunks[:-1]:
+            assert chunk.endswith((b"\n", b"\r"))
+        for chunk, after in zip(chunks, chunks[1:]):
+            assert not (chunk.endswith(b"\r") and after.startswith(b"\n"))
 
 
 class TestGenerate:
