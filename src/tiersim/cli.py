@@ -16,8 +16,8 @@ from .config import (CACHING, ConfigError, Policy, SimConfig,
                      config_from_mapping, load_config_file, parse_size)
 from .core import SimulationError, Simulator
 from .metering import REPORT_SCHEMA_VERSION, metadata_cost
-from .trace import (WORKLOAD_KINDS, TraceError, WorkloadSpec, generate,
-                    load_trace, write_trace)
+from .trace import (WORKLOAD_KINDS, TraceBoundError, TraceError, WorkloadSpec,
+                    generate, load_trace, write_trace)
 
 # Config fields `sweep --param` accepts; each value is parsed as that field.
 SWEEPABLE = ("promotion_threshold", "cache_zone_bytes", "bloom_window",
@@ -135,11 +135,13 @@ def config_for_policy(base: SimConfig, policy: Policy) -> SimConfig:
     return dataclasses.replace(base, **changes)
 
 
-def workload_records(args, base: SimConfig):
+def workload_records(args, base: SimConfig, end: int = 1 << 64):
+    """The command's trace, read with `end` as its end bound, or its
+    generated workload."""
     if args.trace and args.gen:
         raise TraceError("--trace and --gen are mutually exclusive")
     if args.trace:
-        return load_trace(args.trace, base.block_size_bytes)
+        return load_trace(args.trace, base.block_size_bytes, end)
     if not args.gen:
         raise TraceError("need --trace or --gen")
     if args.footprint:
@@ -207,24 +209,46 @@ def _policies(args):
     return [Policy(p.strip().lower()) for p in args.policy.split(",") if p.strip()]
 
 
-def _run_labeled(base, policy, records, **changes) -> dict:
-    """Report of one run; a run that fails on its config or trace becomes a
-    labeled entry holding the policy and the error, so the remaining runs
-    still happen. Any other exception is a defect and propagates.
+def _run_labeled(args, base, runs) -> list:
+    """Reports of `runs`, (policy, base changes) pairs, over the command's
+    workload. A run that fails on its config or trace becomes a labeled
+    entry holding the policy and the error, so the remaining runs still
+    happen. Any other exception is a defect and propagates.
 
-    `changes` edit the shared base before the per-policy view is taken, so
-    a swept capacity reaches all-DRAM as that capacity plus the slow tier."""
+    The changes edit the shared base before the per-policy view is taken,
+    so a swept capacity reaches all-DRAM as that capacity plus the slow
+    tier. A trace is read with the largest host space of the valid runs as
+    its end bound, so no request is split far past every run's memory; a
+    request beyond it would fail each of those runs, and labels them."""
+    configs = []
+    for policy, changes in runs:
+        try:
+            cfg = config_for_policy(dataclasses.replace(base, **changes), policy)
+            configs.append((policy, cfg.validate()))
+        except ConfigError as exc:
+            configs.append((policy, exc))
+    end = max((cfg.host_space_bytes for _, cfg in configs
+               if isinstance(cfg, SimConfig)), default=1 << 64)
     try:
-        cfg = config_for_policy(dataclasses.replace(base, **changes), policy)
-        return Simulator(cfg.validate()).run(records)
-    except (ConfigError, TraceError, SimulationError) as exc:
-        return {"policy": policy.value, "error": str(exc)}
+        records, refused = workload_records(args, base, end), None
+    except TraceBoundError as exc:
+        records, refused = None, f"{exc}, the largest host capacity of these runs"
+    reports = []
+    for policy, cfg in configs:
+        error = str(cfg) if isinstance(cfg, ConfigError) else refused
+        if error is None:
+            try:
+                reports.append(Simulator(cfg).run(records))
+                continue
+            except (TraceError, SimulationError) as exc:
+                error = str(exc)
+        reports.append({"policy": policy.value, "error": error})
+    return reports
 
 
 def cmd_run(args) -> int:
     base = base_config(args)
-    records = workload_records(args, base)
-    reports = [_run_labeled(base, policy, records) for policy in _policies(args)]
+    reports = _run_labeled(args, base, [(policy, {}) for policy in _policies(args)])
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": "run",
                "reports": reports}
     comparison = _comparison(reports)
@@ -236,13 +260,13 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = base_config(args)
-    records = workload_records(args, base)
-    policies = _policies(args)
     values = [getattr(config_from_mapping({args.param: v.strip()}), args.param)
               for v in args.values.split(",") if v.strip()]
-    reports = [{**_run_labeled(base, policy, records, **{args.param: value}),
-                "sweep_param": args.param, "sweep_value": value}
-               for policy in policies for value in values]
+    runs = [(policy, {args.param: value})
+            for policy in _policies(args) for value in values]
+    reports = [{**report, "sweep_param": args.param,
+                "sweep_value": changes[args.param]}
+               for report, (_, changes) in zip(_run_labeled(args, base, runs), runs)]
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": "sweep",
                "param": args.param, "values": values, "reports": reports}
     _emit(payload, reports, args.out, args.format)

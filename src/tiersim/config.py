@@ -58,13 +58,6 @@ def parse_size(text) -> int:
     return int(size)
 
 
-def format_size(n: int) -> str:
-    for suffix, mult in (("GiB", 1024 ** 3), ("MiB", 1024 ** 2), ("KiB", 1024)):
-        if n % mult == 0 and n >= mult:
-            return f"{n // mult}{suffix}"
-    return str(n)
-
-
 class ConfigError(ValueError):
     """Raised when a configuration violates a structural constraint."""
 

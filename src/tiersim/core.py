@@ -26,7 +26,11 @@ page a run touches gets an index of its blocks' slots; a block's first write
 (a foreground write or a cache writeback) takes the next block-sized slot
 of a fixed 64 KiB arena, and slots are never freed. Slot 0 is a shared zero
 block that is never written, so a never-written block reads as zeros
-without a slot of its own.
+without a slot of its own. A cached block's copy is its line in the block
+cache's flat zone, and a hit is served from the zone at the line's offset,
+as a slot is served from its arena. The blocks a run has touched are one
+byte each in a map over the host space; the report's footprint and the
+content digest read it in block-id order.
 
 The engine moves a swap's content lazily: copied chunks (one block each)
 land in `mem` only when a page of the in-flight pair is located or the swap
@@ -39,6 +43,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .config import CACHING, MIGRATING, Policy, SimConfig
 from .metering import (FAST_READ, FAST_WRITE, REPORT_SCHEMA_VERSION, SLOW_READ,
@@ -120,7 +125,8 @@ class Simulator:
                     + 1) * self.block_bytes
         self._blank_index = array("I" if last_ref < 1 << 32 else "Q",
                                   [0]) * self.blocks_per_page
-        self.touched_blocks = set()    # host block ids
+        # One byte per host block: 1 once a request has touched it.
+        self.touched = bytearray(self.host_space_bytes // self.block_bytes)
         self.page_relocations = 0
         self.block_relocations = 0
         self.writebacks = 0
@@ -230,7 +236,7 @@ class Simulator:
         offset_in_page = addr % page
         block_in_page = offset_in_page // block
         block_id = addr // block
-        self.touched_blocks.add(block_id)
+        self.touched[block_id] = 1
 
         ledger = self.ledger
         pagetable = self.pagetable
@@ -269,8 +275,8 @@ class Simulator:
         stall = 0
         if way is not None:
             tier = "fast"
-            buf = self.cache.line(block_id, way, write=kind == "W")
-            offset = in_block
+            buf = self.cache.zone
+            offset = self.cache.line_offset(block_id, way, kind == "W") + in_block
         else:
             if in_flight and kind == "W":
                 stall = engine.write_stall_ns(offset_in_page,
@@ -369,7 +375,7 @@ class Simulator:
     def _copy_block_in(self, host_page, internal, block_id, block_in_page,
                        arrival_ns):
         block = self.block_bytes
-        data = bytes(self._slot_bytes(self._page_mem(internal)[block_in_page]))
+        data = self._slot_bytes(self._page_mem(internal)[block_in_page])
         victim = self.cache.insert(block_id, data)
         self.pagetable.add_cached_block(host_page)
         self.ledger.charge("slow", "read", False, block)
@@ -435,7 +441,7 @@ class Simulator:
             "reads": reads,
             "writes": writes,
             "footprint_pages": len({b // self.blocks_per_page
-                                    for b in self.touched_blocks}),
+                                    for b in self._touched_ids()}),
             "page_relocations": self.page_relocations,
             "block_relocations": self.block_relocations,
             "writebacks": self.writebacks,
@@ -457,7 +463,8 @@ class Simulator:
             hi = min(block, lo + end - host_addr)
             way = None if self.cache is None else self.cache.peek(block_id)
             if way is not None:
-                buf = self.cache.line(block_id, way)
+                start = self.cache.line_offset(block_id, way)
+                buf = self.cache.zone[start:start + block]
             else:
                 host_page, offset = divmod(host_addr, self.page_bytes)
                 index = self.mem.get(self._locate(host_page, offset))
@@ -467,12 +474,37 @@ class Simulator:
             host_addr += hi - lo
         return bytes(out)
 
+    def _touched_ids(self):
+        """The host block ids a request has touched, in increasing order."""
+        return compress(count(), self.touched)
+
     def content_digest(self) -> str:
+        """SHA-256 over the touched blocks in block-id order: each block's
+        id as 8 little-endian bytes, then its freshest bytes, as `peek`
+        resolves them. A page's index is located once for all its blocks,
+        except on a page of the in-flight pair, whose blocks may sit in
+        either copy."""
         block = self.block_bytes
+        bpp = self.blocks_per_page
+        cache = self.cache
+        resident = {} if cache is None else cache.resident
+        job = self.engine.job
+        pair = () if job is None else (job.src_host, job.dst_host)
         h = hashlib.sha256()
-        for block_id in sorted(self.touched_blocks):
+        page = index = None
+        for block_id in self._touched_ids():
+            way = resident.get(block_id)
+            if way is not None:
+                start = cache.line_offset(block_id, way)
+                data = cache.zone[start:start + block]
+            else:
+                host_page, i = divmod(block_id, bpp)
+                if host_page != page or host_page in pair:
+                    page = host_page
+                    index = self.mem.get(self._locate(host_page, i * block))
+                data = self._slot_bytes(0 if index is None else index[i])
             h.update(block_id.to_bytes(8, "little"))
-            h.update(self.peek(block_id * block, block))
+            h.update(data)
         return h.hexdigest()
 
 

@@ -38,8 +38,11 @@ class PageTable:
         if static_shuffle_seed is not None:
             random.Random(static_shuffle_seed).shuffle(self.table)
 
-        self.cached_blocks = [0] * total_pages
-        self.bitmap = [0] * total_pages
+        # Both fit a byte, so they are stored unboxed. `table` stays a list:
+        # indexing an array would box every internal page above 256 on the
+        # request path.
+        self.cached_blocks = bytearray(total_pages)
+        self.bitmap = bytearray(total_pages)
 
         # Victim search state.
         self.counter = 0
@@ -113,13 +116,6 @@ class PageTable:
     def swap_mappings(self, host_a: int, host_b: int):
         ta, tb = self.table[host_a], self.table[host_b]
         self.table[host_a], self.table[host_b] = tb, ta
-
-    def dump(self) -> str:
-        lines = ["host_page internal_page cached_blocks bitmap"]
-        for host, internal in enumerate(self.table):
-            lines.append(f"{host} {internal} {self.cached_blocks[host]} "
-                         f"{self.bitmap[host]:08b}")
-        return "\n".join(lines)
 
     def check_bijection(self) -> bool:
         return sorted(self.table) == list(range(self.total_pages))

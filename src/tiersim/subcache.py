@@ -2,23 +2,29 @@
 4-way set-associative cache of page blocks with tree pseudo-LRU replacement
 and dirty writeback.
 
-Beside the per-set arrays, a `resident` dict maps the block id of every
-valid line to its way. A lookup, hit or miss, is one probe of it; the
-arrays are walked only to find a free way on insert.
+The storage is flat, like the zone it models. Line `(set, way)` is line
+number `set * ways + way`; its data is the block at `line * block_bytes`
+in one `zone` bytearray, its tag is that entry of an `array('Q')`, and its
+valid and dirty flags are one byte each in two bytearrays. Each set keeps
+its 3 pLRU bits in one byte of a fourth. Beside these, a `resident` dict
+maps the block id of every valid line to its way. A lookup, hit or miss,
+is one probe of it; the flags are searched only to find a free way on
+insert.
 """
 
 from __future__ import annotations
 
+from array import array
 
-class CacheSet:
-    __slots__ = ("tags", "valid", "dirty", "data", "plru")
-
-    def __init__(self, ways: int, block_bytes: int):
-        self.tags = [0] * ways
-        self.valid = [False] * ways
-        self.dirty = [False] * ways
-        self.data = [bytearray(block_bytes) for _ in range(ways)]
-        self.plru = 0  # 3 bits for 4 ways: bit0 root, bit1 left pair, bit2 right pair
+# The 3-bit tree for 4 ways: bit 0 is the root (set: the right pair is
+# older), bit 1 the left pair (set: way 1 is older), bit 2 the right pair
+# (set: way 3 is older). A touch of way w points every node on its path
+# away from it: plru & _KEEP[w] | _SET[w].
+_KEEP = (0b111, 0b101, 0b110, 0b010)
+_SET = (0b011, 0b001, 0b100, 0b000)
+# The way each tree state names as the oldest.
+_VICTIM = bytes((3 if p & 0b100 else 2) if p & 0b001 else (1 if p & 0b010 else 0)
+                for p in range(8))
 
 
 class BlockCache:
@@ -34,33 +40,22 @@ class BlockCache:
         self.nsets = sets
         self.ways = ways
         self.block_bytes = block_bytes
-        self.sets = [CacheSet(ways, block_bytes) for _ in range(sets)]
+        self.set_mask = sets - 1
+        lines = sets * ways
+        self.zone = bytearray(lines * block_bytes)
+        self.tags = array("Q", [0]) * lines
+        self.valid = bytearray(lines)
+        self.dirty = bytearray(lines)
+        self.plru = bytearray(sets)
         self.resident = {}  # block id -> way, for every valid line
 
     @property
     def valid_count(self) -> int:
         return len(self.resident)
 
-    def _set_for(self, block_id: int) -> CacheSet:
-        return self.sets[block_id & (self.nsets - 1)]
-
-    # pLRU helpers ------------------------------------------------------
-
-    @staticmethod
-    def _touch_plru(s: CacheSet, way: int):
-        # Point every tree node away from the touched way.
-        if way < 2:
-            s.plru |= 0b001               # root -> right half is older
-            s.plru = (s.plru | 0b010) if way == 0 else (s.plru & ~0b010)
-        else:
-            s.plru &= ~0b001              # root -> left half is older
-            s.plru = (s.plru | 0b100) if way == 2 else (s.plru & ~0b100)
-
-    @staticmethod
-    def _plru_victim(s: CacheSet) -> int:
-        if s.plru & 0b001:                # right half older
-            return 3 if s.plru & 0b100 else 2
-        return 1 if s.plru & 0b010 else 0
+    def line_of(self, block_id: int, way: int) -> int:
+        """The line number of `way` in the set of `block_id`."""
+        return (block_id & self.set_mask) * self.ways + way
 
     # Operations ----------------------------------------------------------
 
@@ -68,7 +63,9 @@ class BlockCache:
         """Return the hit way index, or None. Hits refresh the pLRU tree."""
         way = self.resident.get(block_id)
         if way is not None:
-            self._touch_plru(self._set_for(block_id), way)
+            plru = self.plru
+            idx = block_id & self.set_mask
+            plru[idx] = plru[idx] & _KEEP[way] | _SET[way]
         return way
 
     def peek(self, block_id: int):
@@ -78,45 +75,40 @@ class BlockCache:
     def insert(self, block_id: int, data: bytes):
         """Insert a clean copy. Returns the evicted (block_id, dirty, data)
         descriptor when a valid victim was displaced, else None."""
-        s = self._set_for(block_id)
+        idx = block_id & self.set_mask
+        first = idx * self.ways
+        line = self.valid.find(0, first, first + self.ways)
         victim = None
-        way = None
-        for w in range(self.ways):
-            if not s.valid[w]:
-                way = w
-                break
-        if way is None:
-            way = self._plru_victim(s)
-            victim = (s.tags[way], s.dirty[way], bytes(s.data[way]))
-            del self.resident[s.tags[way]]
-        s.tags[way] = block_id
-        s.valid[way] = True
-        s.dirty[way] = False
-        s.data[way][:] = data
+        if line < 0:
+            line = first + _VICTIM[self.plru[idx]]
+            start = line * self.block_bytes
+            tag = self.tags[line]
+            victim = (tag, bool(self.dirty[line]),
+                      bytes(self.zone[start:start + self.block_bytes]))
+            del self.resident[tag]
+        way = line - first
+        self.tags[line] = block_id
+        self.valid[line] = 1
+        self.dirty[line] = 0
+        start = line * self.block_bytes
+        self.zone[start:start + self.block_bytes] = data
         self.resident[block_id] = way
-        self._touch_plru(s, way)
+        self.plru[idx] = self.plru[idx] & _KEEP[way] | _SET[way]
         return victim
 
-    def line(self, block_id: int, way: int, write: bool = False) -> bytearray:
-        """The resident line's data, marked dirty when it is about to be
-        written."""
-        s = self._set_for(block_id)
+    def line_offset(self, block_id: int, way: int, write: bool = False) -> int:
+        """Where the resident line's data starts in `zone`; the line is
+        marked dirty when it is about to be written."""
+        line = (block_id & self.set_mask) * self.ways + way
         if write:
-            s.dirty[way] = True
-        return s.data[way]
+            self.dirty[line] = 1
+        return line * self.block_bytes
 
     def invalidate(self, block_id: int, way: int):
         """Drop a resident block, returning (dirty, data) for merging."""
-        s = self._set_for(block_id)
-        assert s.valid[way] and s.tags[way] == block_id
-        s.valid[way] = False
+        line = self.line_of(block_id, way)
+        assert self.valid[line] and self.tags[line] == block_id
+        self.valid[line] = 0
         del self.resident[block_id]
-        return s.dirty[way], bytes(s.data[way])
-
-    def dump(self) -> str:
-        lines = ["set way tag valid dirty plru"]
-        for idx, s in enumerate(self.sets):
-            for way in range(self.ways):
-                lines.append(f"{idx} {way} {s.tags[way]} {int(s.valid[way])} "
-                             f"{int(s.dirty[way])} {s.plru:03b}")
-        return "\n".join(lines)
+        start = line * self.block_bytes
+        return bool(self.dirty[line]), bytes(self.zone[start:start + self.block_bytes])

@@ -41,6 +41,10 @@ class TraceError(ValueError):
     """Malformed trace input."""
 
 
+class TraceBoundError(TraceError):
+    """A request that ends beyond the end bound the trace was read with."""
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     kind: str          # "R" or "W"
@@ -77,13 +81,17 @@ class Trace:
             except TraceError as exc:
                 raise TraceError(f"request {seq}: {exc}") from None
 
-    def append(self, kind, addr, size, block_bytes=_ADDR_END):
-        """Append one request, split at block boundaries in order."""
+    def append(self, kind, addr, size, block_bytes=_ADDR_END, end=_ADDR_END):
+        """Append one request, split at block boundaries in order. A request
+        that ends beyond `end` is refused before it is split, so no request
+        yields more records than `end` holds blocks."""
         if (kind not in _KIND_CODES or addr < 0 or not 0 <= size < _SIZE_END
                 or addr + size > _ADDR_END):
             raise TraceError(
                 f"{kind} {addr:#x} {size} does not fit the trace "
                 f"(R or W, addresses below 2**64, sizes below 2**{_SIZE_BITS})")
+        if addr + size > end:
+            raise TraceBoundError(f"{kind} {addr:#x} {size} ends beyond {end:#x}")
         if block_bytes < 1:
             raise TraceError(f"block size {block_bytes} must be positive")
         code = _KIND_CODES[kind]
@@ -117,14 +125,16 @@ class Trace:
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-def parse_trace(stream, block_bytes: int = DEFAULT_BLOCK_BYTES) -> Trace:
-    """Parse `R|W <hex-addr> [<size>]` lines into a trace of split records."""
+def parse_trace(stream, block_bytes: int = DEFAULT_BLOCK_BYTES,
+                end: int = _ADDR_END) -> Trace:
+    """Parse `R|W <hex-addr> [<size>]` lines into a trace of split records;
+    a request that ends beyond `end` is an error."""
     trace = Trace()
-    _parse_lines(trace, stream, block_bytes)
+    _parse_lines(trace, stream, block_bytes, end)
     return trace
 
 
-def _parse_lines(trace, lines, block_bytes, lineno=0):
+def _parse_lines(trace, lines, block_bytes, end, lineno=0):
     """Append the records of `lines`, numbered from `lineno + 1`, to
     `trace`, and return the number of the last line."""
     for lineno, raw in enumerate(lines, lineno + 1):
@@ -148,9 +158,9 @@ def _parse_lines(trace, lines, block_bytes, lineno=0):
         if size <= 0:
             raise TraceError(f"line {lineno}: size must be positive")
         try:
-            trace.append(kind, addr, size, block_bytes)
+            trace.append(kind, addr, size, block_bytes, end)
         except TraceError as exc:
-            raise TraceError(f"line {lineno}: {exc}") from None
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return lineno
 
 
@@ -161,20 +171,22 @@ def _canonical_head(chunk) -> int:
     return end if end == len(chunk) else chunk.rfind(b"\n", 0, end) + 1
 
 
-def _extend_canonical(trace, lines, block_bytes) -> bool:
+def _extend_canonical(trace, lines, block_bytes, end) -> bool:
     """Append canonical `lines` to `trace`, building its columns with
     C-level calls; a request that crosses a block is split as
     `Trace.append` splits it. Return False, leaving `trace` as it was, when
-    a value does not fit its column; the line parser then takes the lines."""
+    a value does not fit its column or a request ends beyond `end`; the
+    line parser then takes the lines, and its error names the line."""
     tokens = lines.split()
     try:
         addrs = array("Q", map(int, tokens[1::3], repeat(16)))
         sizes = array("I", map(int, tokens[2::3]))
     except OverflowError:
         return False
-    # Stricter than `addr + size <= 2**64` per record, which the line
-    # parser checks with the line number in its message.
-    if max(addrs) + max(sizes) > _ADDR_END:
+    # The largest address plus the largest size bounds every request's end,
+    # so each request's own end is summed only when that bound is crossed.
+    end = min(end, _ADDR_END)
+    if max(addrs) + max(sizes) > end and max(map(add, addrs, sizes)) > end:
         return False
     kinds = b"".join(tokens[0::3])
     if max(map(add, map(mod, addrs, repeat(block_bytes)), sizes)) > block_bytes:
@@ -219,24 +231,27 @@ def open_trace(path, mode="rt"):
     return open(path, mode)
 
 
-def load_trace(path, block_bytes: int = DEFAULT_BLOCK_BYTES) -> Trace:
+def load_trace(path, block_bytes: int = DEFAULT_BLOCK_BYTES,
+               end: int = _ADDR_END) -> Trace:
     """Load a trace file (`.gz` is decompressed) into a trace of split
     records, exactly as `parse_trace` on the file opened as text would.
     The lines of a chunk in `write_trace`'s form, up to the first line that
     is not, are parsed in bulk; the rest of the chunk goes through the
-    line parser."""
+    line parser. A request that ends beyond `end` raises a
+    `TraceBoundError` naming its line before it is split."""
     trace = Trace()
     lineno = 0
     try:
         with open_trace(path, "rb") as fh:
             for chunk in _chunks(fh):
                 head = _canonical_head(chunk) if block_bytes >= 1 else 0
-                if head and _extend_canonical(trace, chunk[:head], block_bytes):
+                if head and _extend_canonical(trace, chunk[:head],
+                                              block_bytes, end):
                     lineno += chunk.count(b"\n", 0, head)
                     chunk = chunk[head:]
                 if chunk:
                     lineno = _parse_lines(trace, io.TextIOWrapper(io.BytesIO(chunk)),
-                                          block_bytes, lineno)
+                                          block_bytes, end, lineno)
     except (EOFError, zlib.error, gzip.BadGzipFile, UnicodeDecodeError) as exc:
         raise TraceError(f"{path}: unreadable trace: {exc}") from None
     return trace

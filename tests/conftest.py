@@ -21,6 +21,16 @@ def small_config(policy=Policy.PAGEMOVE, **overrides):
     return SimConfig(**base)
 
 
+def dump_pagetable(pt) -> str:
+    """A header, then one line per host page: its internal page,
+    cached-block count and access bitmap."""
+    lines = ["host_page internal_page cached_blocks bitmap"]
+    for host, internal in enumerate(pt.table):
+        lines.append(f"{host} {internal} {pt.cached_blocks[host]} "
+                     f"{pt.bitmap[host]:08b}")
+    return "\n".join(lines)
+
+
 def random_records(n, host_space_bytes, seed, write_fraction=0.5,
                    page_bytes=4096, sizes=(8, 16, 64, 128)):
     """Aligned, block-contained random requests over the whole host space,

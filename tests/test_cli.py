@@ -97,6 +97,23 @@ class TestRun:
         assert err.startswith("error: line 2:")
         assert "Traceback" not in err
 
+    def test_a_request_past_every_host_space_fails_at_once(self, tmp_path,
+                                                            tmp_trace):
+        # Split at one-byte blocks, this line would be about 4.3e9 records.
+        trace = tmp_trace(["R 0x0 64", "R 0x0 4294967295"])
+        out = tmp_path / "r.json"
+        rc = run_cli("run", *BASE, "--block-size", "1", "--trace", trace,
+                     "--policy", "pagemove,alldram,statcomb", "--out", str(out))
+        assert rc == 1
+        by = {r["policy"]: r["error"]
+              for r in json.loads(out.read_text())["reports"]}
+        host = (256 + 1024) * 1024   # pagemove's and all-DRAM's host space
+        refused = (f"line 2: R 0x0 4294967295 ends beyond {host:#x}, the "
+                   "largest host capacity of these runs")
+        assert by["pagemove"] == by["alldram"] == refused
+        # statcomb has no cache zone: its own config error labels it.
+        assert by["statcomb"].startswith("cache_zone_bytes:")
+
     def test_non_positive_block_size_is_a_trace_error(self, tmp_trace,
                                                        capsys):
         trace = tmp_trace(["R 0x0"])

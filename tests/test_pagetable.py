@@ -6,6 +6,8 @@ from tiersim import SimConfig
 from tiersim.pagetable import BITMAP_BITS, PageTable, VictimSearchError
 from tiersim.recency import ExactRecencyFilter, mix64
 
+from conftest import dump_pagetable
+
 
 def make_table(fast=8, total=32, window=4, seed=None):
     return PageTable(fast, total, 32, ExactRecencyFilter(window),
@@ -174,9 +176,10 @@ class TestVictimSearch:
 def test_dump_format():
     pt = make_table(fast=2, total=4)
     pt.add_cached_block(1)
-    lines = pt.dump().splitlines()
+    lines = dump_pagetable(pt).splitlines()
     assert lines[0].startswith("host_page")
     assert lines[2].split()[:3] == ["1", "1", "1"]
+    assert lines[2].split()[3] == "00000000"
 
 
 # (page, block) pairs giving 1, 2, 4, 8, 16 and 32 blocks per page.

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiersim import MemoryRequest, Policy, Simulator
 from tiersim.pagetable import COUNTER_MAX
@@ -11,6 +13,24 @@ from conftest import small_config
 
 def make_cache(sets=4):
     return BlockCache(sets, 4, 128)
+
+
+def dump_cache(c) -> str:
+    """A header, then one line per (set, way): tag, valid, dirty and the
+    set's pLRU bits."""
+    lines = ["set way tag valid dirty plru"]
+    for idx in range(c.nsets):
+        for way in range(c.ways):
+            line = c.line_of(idx, way)
+            lines.append(f"{idx} {way} {c.tags[line]} {c.valid[line]} "
+                         f"{c.dirty[line]} {c.plru[idx]:03b}")
+    return "\n".join(lines)
+
+
+def line_bytes(c, block_id, way, write=False):
+    """A copy of the resident line's data, read through its zone offset."""
+    start = c.line_offset(block_id, way, write)
+    return bytes(c.zone[start:start + c.block_bytes])
 
 
 class PlruReference:
@@ -61,8 +81,7 @@ class TestLookupInsert:
             block = rng.randrange(8) * 100 + 1
             if c.peek(block) is None:
                 c.insert(block, bytes(128))
-        s = c.sets[0]
-        tags = [s.tags[w] for w in range(4) if s.valid[w]]
+        tags = [c.tags[w] for w in range(4) if c.valid[w]]  # set 0: lines 0-3
         assert len(tags) == len(set(tags))
 
     def test_valid_count_tracks_occupancy(self):
@@ -182,19 +201,31 @@ def test_residency_index_matches_a_linear_scan(sets):
             if way is not None and op < 0.9:
                 payload = rng.randbytes(8)
                 offset = rng.randrange(120)
-                c.line(block, way, write=True)[offset:offset + 8] = payload
+                start = c.line_offset(block, way, write=True) + offset
+                c.zone[start:start + 8] = payload
                 ref.write(block, way, offset, payload)
             elif way is not None:
                 assert c.invalidate(block, way) == ref.invalidate(block, way)
         assert len(c.resident) == c.valid_count == sum(
             line[1] for lines in ref.sets for line in lines)
-        for block_id, way in c.resident.items():
-            s = c.sets[block_id % sets]
-            assert s.valid[way] and s.tags[way] == block_id
-        for s, lines in zip(c.sets, ref.sets):
-            assert s.valid == [line[1] for line in lines]
-            assert [(t, d) for t, v, d in zip(s.tags, s.valid, s.dirty) if v] \
-                == [(line[0], line[2]) for line in lines if line[1]]
+        assert_same_state(c, ref)
+
+
+def assert_same_state(c, ref):
+    """The flat arrays hold what the reference's lines hold: the residency
+    index names exactly the valid lines, and each set's valid flags, and the
+    tags, dirty flags and data of its valid lines, match line for line."""
+    for block_id, way in c.resident.items():
+        line = c.line_of(block_id, way)
+        assert c.valid[line] and c.tags[line] == block_id
+    block = c.block_bytes
+    for idx, lines in enumerate(ref.sets):
+        first = c.line_of(idx, 0)
+        assert list(c.valid[first:first + 4]) == [line[1] for line in lines]
+        assert [(c.tags[first + w], c.dirty[first + w],
+                 bytes(c.zone[(first + w) * block:(first + w + 1) * block]))
+                for w in range(4) if c.valid[first + w]] \
+            == [(line[0], line[2], line[3]) for line in lines if line[1]]
 
 
 class TestDirtyData:
@@ -202,9 +233,10 @@ class TestDirtyData:
         c = make_cache()
         c.insert(7, bytes(range(128)))
         way = c.lookup(7)
-        c.line(7, way, write=True)[10:12] = b"\xAA\xBB"
-        assert c.line(7, way)[10:12] == b"\xAA\xBB"
-        assert c.line(7, way)[0:1] == b"\x00"
+        start = c.line_offset(7, way, write=True)
+        c.zone[start + 10:start + 12] = b"\xAA\xBB"
+        assert line_bytes(c, 7, way)[10:12] == b"\xAA\xBB"
+        assert line_bytes(c, 7, way)[0:1] == b"\x00"
         dirty, data = c.invalidate(7, way)
         assert dirty and data[10:12] == b"\xAA\xBB"
 
@@ -212,8 +244,8 @@ class TestDirtyData:
         c = make_cache()
         c.insert(7, bytes(128))
         way = c.lookup(7)
-        assert c.line(7, way)[0:8] == bytes(8)
-        assert not c.sets[7 % 4].dirty[way]
+        assert line_bytes(c, 7, way)[0:8] == bytes(8)
+        assert not c.dirty[c.line_of(7, way)]
 
     def test_insert_is_clean(self):
         c = make_cache()
@@ -334,5 +366,60 @@ class TestRecycling:
 def test_dump_lists_every_way():
     c = make_cache(sets=2)
     c.insert(5, bytes(128))
-    lines = c.dump().splitlines()
+    lines = dump_cache(c).splitlines()
     assert len(lines) == 1 + 2 * 4
+    # Block 5 went to way 0 of set 1; the tree now points at the right pair.
+    assert lines[1 + 4].split() == ["1", "0", "5", "1", "0", "011"]
+
+
+# Line data for inserts: block bytes starting at any byte value.
+_CYCLE = bytes(range(256)) * 17
+
+CACHE_OPS = st.lists(st.tuples(
+    st.sampled_from(["lookup", "peek", "insert", "write", "invalidate"]),
+    st.integers(0, 6 * 64 - 1),                      # block id
+    st.one_of(st.just(-1), st.integers(0, 4095)),    # write offset; -1: last byte
+    st.binary(min_size=1, max_size=8)), max_size=120)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(log_sets=st.integers(0, 6), block=st.sampled_from([1, 4096]),
+       ops=CACHE_OPS)
+def test_flat_cache_matches_a_linear_scan_at_any_geometry(log_sets, block, ops):
+    sets = 1 << log_sets
+    c, ref = BlockCache(sets, 4, block), LinearScanCache(sets)
+    for op, block_id, offset, payload in ops:
+        block_id %= 6 * sets
+        way = ref.peek(block_id)
+        if op == "lookup":
+            assert c.lookup(block_id) == ref.lookup(block_id)
+        elif op == "peek":
+            assert c.peek(block_id) == way
+        elif op == "insert" and way is None:
+            data = _CYCLE[block_id & 0xFF:(block_id & 0xFF) + block]
+            assert c.insert(block_id, data) == ref.insert(block_id, data)
+        elif op == "write" and way is not None:
+            offset = block - 1 if offset < 0 else offset % block
+            payload = payload[:block - offset]
+            start = c.line_offset(block_id, way, write=True) + offset
+            c.zone[start:start + len(payload)] = payload
+            ref.write(block_id, way, offset, payload)
+        elif op == "invalidate" and way is not None:
+            assert c.invalidate(block_id, way) == ref.invalidate(block_id, way)
+        assert c.valid_count == sum(line[1] for lines in ref.sets
+                                    for line in lines)
+    assert_same_state(c, ref)
+
+
+def test_a_zone_costs_little_more_than_its_bytes():
+    # 16 MiB of 128-byte lines: tags, flags and pLRU bits add about 8%.
+    zone = 16 << 20
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c = BlockCache(zone // (4 * 128), 4, 128)
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(c.zone) == zone
+    assert allocated <= 1.3 * zone, allocated / zone

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiersim import trace as trace_module
-from tiersim.trace import (Trace, TraceError, TraceRecord, WorkloadSpec,
-                           generate, load_trace, open_trace, parse_trace,
-                           write_trace)
+from tiersim.trace import (Trace, TraceBoundError, TraceError, TraceRecord,
+                           WorkloadSpec, generate, load_trace, open_trace,
+                           parse_trace, write_trace)
 
 
 def parse_lines(*lines, block=128):
@@ -316,6 +316,57 @@ class TestBulkLoad:
             assert chunk.endswith((b"\n", b"\r"))
         for chunk, after in zip(chunks, chunks[1:]):
             assert not (chunk.endswith(b"\r") and after.startswith(b"\n"))
+
+
+class TestEndBound:
+    def test_a_request_past_the_bound_fails_before_it_is_split(self):
+        # A request whose split ends quickly comes first, so a lost check
+        # fails here instead of running on into the 4.3e9-record split.
+        trace = Trace()
+        with pytest.raises(TraceBoundError, match="ends beyond 0x100000"):
+            trace.append("R", 0, 1 << 21, 1, end=1 << 20)
+        with pytest.raises(TraceBoundError, match="ends beyond 0x100000"):
+            trace.append("R", 0, 4294967295, 1, end=1 << 20)
+        assert len(trace) == 0
+        trace.append("R", (1 << 20) - 8, 8, 1, end=1 << 20)
+        assert len(trace) == 8
+
+    @pytest.mark.parametrize("name", ["t.trc", "t.trc.gz"])
+    def test_load_names_the_line_past_the_bound(self, tmp_path, name):
+        path = tmp_path / name
+        write_lines(path, ["R 0x0 64", "W 0xff000 4096", "R 0x0 2097152"])
+        with pytest.raises(TraceBoundError, match="^line 3: "):
+            load_trace(path, 1, end=1 << 20)
+        write_lines(path, ["R 0x0 64", "W 0xff000 4096", "R 0x0 4294967295",
+                           "R 0x40 64"])
+        with pytest.raises(TraceBoundError) as info:
+            load_trace(path, 1, end=1 << 20)
+        assert str(info.value) == "line 3: R 0x0 4294967295 ends beyond 0x100000"
+
+    def test_requests_ending_at_the_bound_load_in_bulk(self, tmp_path):
+        # The largest address plus the largest size passes the bound, but
+        # every request ends at or before it.
+        lines = ["R 0xfffc0 64", "W 0x0 4096", "R 0x80000 8"]
+        path = tmp_path / "t.trc"
+        write_lines(path, lines)
+        want = parse_lines(*lines, block=128)
+        with mock.patch.object(trace_module, "_parse_lines",
+                               side_effect=AssertionError("line parser")):
+            assert load_trace(path, 128, end=1 << 20) == want
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(text=_trace_text(), block=st.sampled_from([1, 128, 4096]),
+           end=st.sampled_from([0x1000, 0x40000000, 1 << 64]),
+           chunk_bytes=st.sampled_from([16, 256]))
+    def test_load_matches_the_line_parser_under_a_bound(self, text, block,
+                                                        end, chunk_bytes):
+        want = _columns_or_error(
+            lambda: parse_trace(io.StringIO(text, newline=None), block, end))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(trace_module, "_CHUNK_BYTES", chunk_bytes):
+            path = Path(tmp, "t.trc")
+            path.write_bytes(text.encode("utf-8"))
+            assert _columns_or_error(lambda: load_trace(path, block, end)) == want
 
 
 class TestGenerate:
