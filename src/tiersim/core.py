@@ -1,41 +1,28 @@
 """Top-level simulator: one request path over the page table, block cache,
 migration engine, policy layer and meters.
 
-Each request records the access, then catches the DMA engine up, but only
-when a swap is in flight and the request reaches a page of its pair or
-arrives at or after the swap's due time (`SwapJob.due_ns`, never after its
-completion); the engine's progress matters to nothing else. A resident
-cache copy of the block is then served from fast memory, unless its page
-was promoted and is not in flight, in which case the line is recycled into
-the page. Next the engine locates the copy of an in-flight page that holds
-the byte (a write to the chunk being copied stalls until it lands);
-otherwise the remap table gives the page. A touch served from a slow page
-that is not in flight asks a migrating policy for a swap or a block copy,
-unless the engine is busy and there is no block cache: then the only
-possible action, a swap, would be refused. Static serves the touch and does
-nothing else. A dirty cache victim written back by a block copy catches the
-engine up to the request's arrival before it is located.
-All-DRAM is the same path over an identity table whose pages are all fast.
-Both the cache line and the page block are served by one charge-and-copy
-site at the end of the path. Since no request crosses a block, its
-foreground charge is one unit: one bump of the ledger counter for its tier
-and kind, plus that counter's latency on the clock.
+That path is `Simulator._serve`, over a batch of requests given as trace
+columns: `run` passes the whole trace, `dispatch` a batch of one. The state
+it reads is bound to locals once per batch. Each request is then:
 
-Content is stored per block, since no request crosses one. Each internal
-page a run touches gets an index of its blocks' slots; a block's first write
-(a foreground write or a cache writeback) takes the next block-sized slot
-of a fixed 64 KiB arena, and slots are never freed. Slot 0 is a shared zero
-block that is never written, so a never-written block reads as zeros
-without a slot of its own. A cached block's copy is its line in the block
-cache's flat zone, and a hit is served from the zone at the line's offset,
-as a slot is served from its arena. The blocks a run has touched are one
-byte each in a map over the host space; the report's footprint and the
-content digest read it in block-id order.
+1. validated (a failure goes to `_reject`), its block marked touched and
+   its page recorded for the victim search; the access bitmap is written
+   only for an enabled adaptive controller, its one reader;
+2. located: the DMA engine is caught up only when a swap is in flight and
+   the request reaches a page of the pair or the swap's due time;
+3. served from its cache line in the zone when one is resident, unless its
+   page was since promoted and is not in flight, and then the line is
+   recycled into the page; otherwise from its page's block slot, after a
+   write to the chunk being copied stalls until it lands;
+4. charged one foreground unit: one bump of the ledger counter for its tier
+   and kind, plus that counter's latency on the clock;
+5. handed, if it touched a slow page outside the pair, to a migrating
+   policy for a swap or a block copy, unless the engine is busy and there
+   is no cache, since a busy engine refuses every swap.
 
-The engine moves a swap's content lazily: copied chunks (one block each)
-land in `mem` only when a page of the in-flight pair is located or the swap
-completes. A swap that lands whole trades the two page indexes; one that
-lands in parts swaps their slot references. No content bytes move.
+Content is one slot per written block in 64 KiB arenas, indexed per touched
+internal page; slot 0 is the shared zero block. Swaps move slot references
+lazily, never bytes. README describes the model in full.
 """
 
 from __future__ import annotations
@@ -147,6 +134,17 @@ class Simulator:
         self.cache = (BlockCache(cfg.cache_sets, cfg.cache_ways,
                                  cfg.block_size_bytes)
                       if cfg.policy in CACHING else None)
+        # The request path's constants: geometry as shifts and masks (pages
+        # and blocks are powers of two), and the access bitmap, which only
+        # an enabled adaptive controller reads, so only then is it written.
+        block, page = self.block_bytes, self.page_bytes
+        self._path_geometry = (
+            block, block.bit_length() - 1, block - 1, page.bit_length() - 1,
+            page - 1, self.host_space_bytes,
+            self.pagetable.region_blocks.bit_length() - 1)
+        self._path_bitmap = (self.pagetable.bitmap
+                             if self.controller is not None
+                             and self.controller.enabled else None)
         if self.migrating:
             self.pagetable.search_candidate()
 
@@ -209,117 +207,149 @@ class Simulator:
             return self.pagetable.lookup(host_page)
         return internal
 
-    # Dispatch ------------------------------------------------------------
+    # Request path --------------------------------------------------------
 
     def dispatch(self, request: MemoryRequest) -> ServiceOutcome:
         """Serve one request and describe how it was served."""
-        return self._access(request.kind, request.host_addr,
-                            request.size_bytes, request.seq, True)
+        outcomes = []
+        self._serve((request.kind,), (request.host_addr,),
+                    (request.size_bytes,), request.seq, outcomes)
+        return outcomes[0]
 
-    def _access(self, kind, addr, size, seq, outcome):
-        """The request path of both `dispatch` and `run`. Returns the
-        ServiceOutcome when `outcome` is set, else None, so `run` neither
-        builds one nor copies the bytes of a read."""
+    def _reject(self, seq, addr, size):
+        """Raise the TraceError of a request that failed validation."""
         block = self.block_bytes
-        in_block = addr % block
         if size <= 0 or size > block:
             raise TraceError(f"request {seq}: bad size {size}")
-        if in_block + size > block:
+        if addr % block + size > block:
             raise TraceError(f"request {seq}: crosses a block boundary")
-        if addr < 0 or addr + size > self.host_space_bytes:
-            raise TraceError(
-                f"request {seq}: address {addr:#x} beyond configured capacity "
-                f"({self.host_space_bytes:#x})")
+        raise TraceError(
+            f"request {seq}: address {addr:#x} beyond configured capacity "
+            f"({self.host_space_bytes:#x})")
 
-        page = self.page_bytes
-        host_page = addr // page
-        offset_in_page = addr % page
-        block_in_page = offset_in_page // block
-        block_id = addr // block
-        self.touched[block_id] = 1
-
+    def _serve(self, kinds, addrs, sizes, first_seq, outcomes=None):
+        """The request path of both `run` and `dispatch`: serve the records
+        in the three columns as requests `first_seq`, `first_seq + 1`, ...
+        When `outcomes` is a list, append each request's ServiceOutcome to
+        it; otherwise build none and copy no read's bytes."""
+        # Everything the loop reads is bound once. The callables are bound
+        # here, not at construction, so wrappers installed on the classes
+        # before a run are the ones called.
+        (block, block_shift, block_mask, page_shift, page_mask, space,
+         region_shift) = self._path_geometry
+        bitmap = self._path_bitmap
+        touched = self.touched
         ledger = self.ledger
+        counts, unit_ns = ledger.counts, ledger.unit_ns
         pagetable = self.pagetable
-        pagetable.record_access(host_page, block_in_page)
-        # The engine's progress matters only to a page of the in-flight pair
-        # and to completion, so only those catch the engine up. The address
-        # check above bounds host_page, so index the table.
+        table, fast_pages = pagetable.table, pagetable.fast_pages
+        record = pagetable.recency.record
         engine = self.engine
-        job = engine.job
-        if job is not None and (host_page == job.src_host
-                                or host_page == job.dst_host
-                                or ledger.total_foreground_ns >= job.due_ns):
-            engine.advance_to(ledger.total_foreground_ns)
-            loc = engine.locate(host_page, offset_in_page)
-            in_flight = loc is not None
-            internal = loc if in_flight else pagetable.table[host_page]
-        else:
-            in_flight = False
-            internal = pagetable.table[host_page]
+        cache = self.cache
+        if cache is not None:
+            lookup, zone, line_offset = cache.lookup, cache.zone, cache.line_offset
+        mem = self.mem
+        page_mem, new_slot = self._page_mem, self._new_slot
+        arenas, arena_shift, arena_mask = self.arenas, self.arena_shift, self.arena_mask
+        migrating = self.migrating
+        payload = write_payload
+        keep = outcomes is not None
 
-        # The cache copy, when present, is always the authoritative one.
-        # Once its page is promoted and no longer in flight, it is recycled.
-        way = None
-        if self.cache is not None:
-            way = self.cache.lookup(block_id)
-            if (way is not None and not in_flight
-                    and internal < pagetable.fast_pages):
-                dirty, data = self.cache.invalidate(block_id, way)
-                pagetable.drop_cached_block(host_page)
-                self.recycles += 1
-                if dirty:
-                    self._write_back(internal, block_id, data)
-                way = None
+        for seq, (kind, addr, size) in enumerate(zip(kinds, addrs, sizes),
+                                                 first_seq):
+            in_block = addr & block_mask
+            if (size <= 0 or in_block + size > block or addr < 0
+                    or addr + size > space):
+                self._reject(seq, addr, size)
+            host_page = addr >> page_shift
+            offset_in_page = addr & page_mask
+            block_in_page = offset_in_page >> block_shift
+            block_id = addr >> block_shift
+            touched[block_id] = 1
+            record(host_page)
+            if bitmap is not None:
+                bitmap[host_page] |= 1 << (block_in_page >> region_shift)
 
-        # Each branch only picks the tier and the bytes that serve it.
-        stall = 0
-        if way is not None:
-            tier = "fast"
-            buf = self.cache.zone
-            offset = self.cache.line_offset(block_id, way, kind == "W") + in_block
-        else:
-            if in_flight and kind == "W":
-                stall = engine.write_stall_ns(offset_in_page,
-                                              ledger.total_foreground_ns)
-                if stall:
-                    ledger.charge_stall(stall)
-                    engine.advance_to(ledger.total_foreground_ns)
-                    internal = self._locate(host_page, offset_in_page)
-            tier = "fast" if internal < pagetable.fast_pages else "slow"
-            # `_page_mem` creates indexes, so it alone enforces the all-DRAM
-            # footprint.
-            index = self.mem.get(internal) or self._page_mem(internal)
-            # A read in `run` copies no bytes, so it needs no slot reference.
-            if kind == "W" or outcome:
-                ref = index[block_in_page]
-                if not ref and kind == "W":
-                    ref = self._new_slot(index, block_in_page)
-                buf = self.arenas[ref >> self.arena_shift]
-                offset = (ref & self.arena_mask) + in_block
+            # The engine's progress matters only to a page of the in-flight
+            # pair and to completion, so only those catch the engine up.
+            job = engine.job
+            if job is not None and (host_page == job.src_host
+                                    or host_page == job.dst_host
+                                    or ledger.total_foreground_ns >= job.due_ns):
+                engine.advance_to(ledger.total_foreground_ns)
+                loc = engine.locate(host_page, offset_in_page)
+                in_flight = loc is not None
+                internal = loc if in_flight else table[host_page]
+            else:
+                in_flight = False
+                internal = table[host_page]
 
-        # A request is one block-sized foreground unit: one counter bump.
-        if kind == "R":
-            counter = FAST_READ if tier == "fast" else SLOW_READ
-        else:
-            counter = FAST_WRITE if tier == "fast" else SLOW_WRITE
-            buf[offset:offset + size] = write_payload(seq, size)
-        ledger.counts[counter] += 1
-        latency = ledger.unit_ns[counter]
-        ledger.total_foreground_ns += latency
-        # A busy engine refuses every swap, so without a block cache there
-        # is nothing else to do. No stall precedes a slow touch outside the
-        # pair, so the request arrived one latency ago.
-        if (self.migrating and tier == "slow" and not in_flight
-                and (engine.job is None or self.cache is not None)):
-            self._slow_policy_actions(host_page, internal, block_id,
-                                      block_in_page,
-                                      ledger.total_foreground_ns - latency)
-        if outcome:
-            # Policy actions copy this block out or write back another one,
-            # so a read's bytes are still the ones it was served from.
-            data = bytes(buf[offset:offset + size]) if kind == "R" else None
-            return ServiceOutcome(seq, tier, latency, stall_ns=stall, data=data)
-        return None
+            # The cache copy, when present, is always the authoritative one.
+            # Once its page is promoted and no longer in flight, it is
+            # recycled.
+            way = None
+            if cache is not None:
+                way = lookup(block_id)
+                if (way is not None and not in_flight
+                        and internal < fast_pages):
+                    dirty, data = cache.invalidate(block_id, way)
+                    pagetable.drop_cached_block(host_page)
+                    self.recycles += 1
+                    if dirty:
+                        self._write_back(internal, block_id, data)
+                    way = None
+
+            # Each branch only picks the tier and the bytes that serve it.
+            stall = 0
+            if way is not None:
+                fast = True
+                buf = zone
+                offset = line_offset(block_id, way, kind != "R") + in_block
+            else:
+                if in_flight and kind != "R":
+                    stall = engine.write_stall_ns(offset_in_page,
+                                                  ledger.total_foreground_ns)
+                    if stall:
+                        ledger.charge_stall(stall)
+                        engine.advance_to(ledger.total_foreground_ns)
+                        internal = self._locate(host_page, offset_in_page)
+                fast = internal < fast_pages
+                # `_page_mem` creates indexes, so it alone enforces the
+                # all-DRAM footprint.
+                index = mem.get(internal) or page_mem(internal)
+                # A read in `run` copies no bytes, so it needs no slot.
+                if kind != "R" or keep:
+                    ref = index[block_in_page]
+                    if not ref and kind != "R":
+                        ref = new_slot(index, block_in_page)
+                    buf = arenas[ref >> arena_shift]
+                    offset = (ref & arena_mask) + in_block
+
+            # A request is one block-sized foreground unit: one counter bump.
+            if kind == "R":
+                counter = FAST_READ if fast else SLOW_READ
+            else:
+                counter = FAST_WRITE if fast else SLOW_WRITE
+                buf[offset:offset + size] = payload(seq, size)
+            counts[counter] += 1
+            latency = unit_ns[counter]
+            ledger.total_foreground_ns += latency
+            # A busy engine refuses every swap, so without a block cache
+            # there is nothing else to do. No stall precedes a slow touch
+            # outside the pair, so the request arrived one latency ago.
+            if (migrating and not fast and not in_flight
+                    and (engine.job is None or cache is not None)):
+                self._slow_policy_actions(host_page, internal, block_id,
+                                          block_in_page,
+                                          ledger.total_foreground_ns - latency)
+            if keep:
+                # Policy actions copy this block out or write back another
+                # one, so a read's bytes are still the ones it was served
+                # from.
+                data = bytes(buf[offset:offset + size]) if kind == "R" else None
+                outcomes.append(ServiceOutcome(seq, "fast" if fast else "slow",
+                                               latency, stall_ns=stall,
+                                               data=data))
 
     def _write_back(self, internal, block_id, data) -> str:
         """Merge a dirty cache line into its page as background traffic;
@@ -406,10 +436,7 @@ class Simulator:
     def run(self, records) -> dict:
         """Serve a `Trace`, or any iterable of records packed into one."""
         trace = records if isinstance(records, Trace) else Trace(records)
-        access = self._access
-        for seq, (kind, addr, size) in enumerate(
-                zip(trace.kinds, trace.addrs, trace.sizes)):
-            access(kind, addr, size, seq, False)
+        self._serve(trace.kinds, trace.addrs, trace.sizes, 0)
         return self.finish()
 
     def finish(self) -> dict:
@@ -440,8 +467,7 @@ class Simulator:
             "requests": reads + writes,
             "reads": reads,
             "writes": writes,
-            "footprint_pages": len({b // self.blocks_per_page
-                                    for b in self._touched_ids()}),
+            "footprint_pages": self._page_flags().count(1),
             "page_relocations": self.page_relocations,
             "block_relocations": self.block_relocations,
             "writebacks": self.writebacks,
@@ -474,39 +500,54 @@ class Simulator:
             host_addr += hi - lo
         return bytes(out)
 
-    def _touched_ids(self):
-        """The host block ids a request has touched, in increasing order."""
-        return compress(count(), self.touched)
+    def _page_flags(self) -> bytes:
+        """One byte per host page: 1 if a request has touched one of its
+        blocks, else 0."""
+        touched, bpp = self.touched, self.blocks_per_page
+        # Byte p of the k-th strided slice is block k of page p. Every byte
+        # is 0 or 1, so the slices OR-ed as integers flag the pages.
+        flags = 0
+        for k in range(bpp):
+            flags |= int.from_bytes(touched[k::bpp], "little")
+        return flags.to_bytes(len(touched) // bpp, "little")
 
     def content_digest(self) -> str:
         """SHA-256 over the touched blocks in block-id order: each block's
         id as 8 little-endian bytes, then its freshest bytes, as `peek`
-        resolves them. A page's index is located once for all its blocks,
-        except on a page of the in-flight pair, whose blocks may sit in
-        either copy."""
+        resolves them. Only touched pages are walked. A page's index is
+        found once for all its blocks, except on a page of the in-flight
+        pair, whose blocks may sit in either copy."""
         block = self.block_bytes
         bpp = self.blocks_per_page
+        touched = self.touched
+        table, mem = self.pagetable.table, self.mem
+        arenas, arena_shift, arena_mask = self.arenas, self.arena_shift, self.arena_mask
         cache = self.cache
         resident = {} if cache is None else cache.resident
         job = self.engine.job
         pair = () if job is None else (job.src_host, job.dst_host)
         h = hashlib.sha256()
-        page = index = None
-        for block_id in self._touched_ids():
-            way = resident.get(block_id)
-            if way is not None:
-                start = cache.line_offset(block_id, way)
-                data = cache.zone[start:start + block]
-            else:
-                host_page, i = divmod(block_id, bpp)
-                if host_page != page or host_page in pair:
-                    page = host_page
-                    index = self.mem.get(self._locate(host_page, i * block))
-                data = self._slot_bytes(0 if index is None else index[i])
-            h.update(block_id.to_bytes(8, "little"))
-            h.update(data)
+        update = h.update
+        for host_page in compress(count(), self._page_flags()):
+            base = host_page * bpp
+            end = base + bpp
+            in_pair = host_page in pair
+            # Off the pair, the remap table holds every byte of the page.
+            index = None if in_pair else mem.get(table[host_page])
+            for block_id in compress(range(base, end), touched[base:end]):
+                way = resident.get(block_id)
+                if way is not None:
+                    start = cache.line_offset(block_id, way)
+                    data = cache.zone[start:start + block]
+                else:
+                    i = block_id - base
+                    if in_pair:
+                        index = mem.get(self._locate(host_page, i * block))
+                    ref = 0 if index is None else index[i]
+                    lo = ref & arena_mask
+                    data = arenas[ref >> arena_shift][lo:lo + block]
+                update(block_id.to_bytes(8, "little") + data)
         return h.hexdigest()
-
 
 def run_trace(records, config: SimConfig) -> dict:
     """Convenience wrapper: one simulator, one trace, one report."""

@@ -73,16 +73,22 @@ def oracle_run(records, config):
         start = seq & 0xFF
         buf[off:off + size] = cycle[start:start + size]
 
+    # Counter name and per-unit latency of each (tier, kind, foreground);
+    # background traffic takes no time.
+    charge_key = {}
+    charge_ns = {}
+    for tier in ("fast", "slow"):
+        for kind in ("read", "write"):
+            charge_key[tier, kind, True] = f"{tier}_{kind}"
+            charge_key[tier, kind, False] = f"mig_{tier}_{kind}"
+            charge_ns[tier, kind, True] = getattr(cfg, f"{tier}_{kind}_ns")
+            charge_ns[tier, kind, False] = 0
+
     def charge(tier, kind, foreground, nbytes):
         nonlocal clock
         units = max(1, math.ceil(nbytes / block))
-        key = f"{tier}_{kind}" if foreground else f"mig_{tier}_{kind}"
-        counts[key] += units
-        if foreground:
-            latency = getattr(cfg, f"{tier}_{kind}_ns") * units
-            clock += latency
-            return latency
-        return 0
+        counts[charge_key[tier, kind, foreground]] += units
+        clock += charge_ns[tier, kind, foreground] * units
 
     if policy is Policy.ALLDRAM:
         footprint_pages = set()
