@@ -29,19 +29,27 @@ SWEEPABLE = ("promotion_threshold", "cache_zone_bytes", "bloom_window",
 EXIT_DEFECT = 70
 
 
+# Config flags: (flag, SimConfig field, help). A flag's value is stored
+# under its field and parsed by `config_from_mapping`, as a `--config` line is.
+CONFIG_FLAGS = (
+    ("--fast-size", "fast_capacity_bytes", "fast tier capacity (e.g. 128MiB)"),
+    ("--slow-size", "slow_capacity_bytes", "slow tier capacity"),
+    ("--page-size", "page_size_bytes", "page size (default 4KiB)"),
+    ("--block-size", "block_size_bytes", "block size (default 128)"),
+    ("--cache-size", "cache_zone_bytes", "cache zone size (combined policies)"),
+    ("--threshold", "promotion_threshold", "promotion threshold"),
+    ("--adaptive", "adaptive_window_pages",
+     "adaptive evaluation window in promotions (0 disables)"),
+    ("--bloom-window", "bloom_window", "recency window in pages"),
+    ("--dma-bw", "dma_bandwidth_bytes_per_ns", "DMA bandwidth, bytes/ns"),
+    ("--seed", "rng_seed", "simulator RNG seed"),
+)
+
+
 def _add_config_flags(p):
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--fast-size", help="fast tier capacity (e.g. 128MiB)")
-    p.add_argument("--slow-size", help="slow tier capacity")
-    p.add_argument("--page-size", help="page size (default 4KiB)")
-    p.add_argument("--block-size", help="block size (default 128)")
-    p.add_argument("--cache-size", help="cache zone size (combined policies)")
-    p.add_argument("--threshold", type=int, help="promotion threshold")
-    p.add_argument("--adaptive", type=int, metavar="WINDOW",
-                   help="adaptive evaluation window in promotions (0 disables)")
-    p.add_argument("--bloom-window", type=int, help="recency window in pages")
-    p.add_argument("--dma-bw", type=float, help="DMA bandwidth, bytes/ns")
-    p.add_argument("--seed", type=int, help="simulator RNG seed")
+    for flag, field, text in CONFIG_FLAGS:
+        p.add_argument(flag, dest=field, help=text)
 
 
 def _add_workload_flags(p):
@@ -91,31 +99,16 @@ def build_parser():
     p_meta.add_argument("--page", default="4KiB", help="page size")
     p_meta.add_argument("--sets", type=int, default=0, help="cache set count")
     p_meta.add_argument("--block", default="128", help="cache block size")
-    p_meta.add_argument("--ways", type=int, default=4)
 
     return parser
 
 
 def base_config(args) -> SimConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(load_config_file(args.config))
-    flag_map = {
-        "fast_size": "fast_capacity_bytes",
-        "slow_size": "slow_capacity_bytes",
-        "page_size": "page_size_bytes",
-        "block_size": "block_size_bytes",
-        "cache_size": "cache_zone_bytes",
-        "threshold": "promotion_threshold",
-        "adaptive": "adaptive_window_pages",
-        "bloom_window": "bloom_window",
-        "dma_bw": "dma_bandwidth_bytes_per_ns",
-        "seed": "rng_seed",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    mapping = load_config_file(args.config) if args.config else {}
+    for _, field, _ in CONFIG_FLAGS:
+        value = getattr(args, field)
         if value is not None:
-            mapping[key] = value
+            mapping[field] = value
     return config_from_mapping(mapping)
 
 
@@ -206,7 +199,8 @@ def _emit(payload, reports, out, fmt):
 
 
 def _policies(args):
-    return [Policy(p.strip().lower()) for p in args.policy.split(",") if p.strip()]
+    return [config_from_mapping({"policy": p}).policy
+            for p in args.policy.split(",") if p.strip()]
 
 
 def _run_labeled(args, base, runs) -> list:
@@ -293,7 +287,7 @@ def cmd_metacost(args) -> int:
     page = parse_size(args.page)
     space = parse_size(args.space) if args.space else 0
     block = parse_size(args.block)
-    report = metadata_cost(space or page, page, args.sets, block, args.ways)
+    report = metadata_cost(space or page, page, args.sets, block)
     if space:
         print(f"page table: {report.bits_per_page_entry} bits/entry "
               f"({report.page_entry_bytes} bytes), {report.page_entries} entries, "

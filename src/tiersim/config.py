@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .pagetable import COUNTER_MAX
+from .subcache import WAYS
 
 
 class Policy(enum.Enum):
@@ -71,7 +72,6 @@ class SimConfig:
     page_size_bytes: int = 4096
     block_size_bytes: int = 128
     cache_zone_bytes: int = 0
-    cache_ways: int = 4
 
     # Device timing (ns per access) and energy (nJ per block-sized access).
     fast_read_ns: int = 50
@@ -140,7 +140,7 @@ class SimConfig:
     def cache_sets(self) -> int:
         if self.cache_zone_bytes == 0:
             return 0
-        return self.cache_zone_bytes // (self.block_size_bytes * self.cache_ways)
+        return self.cache_zone_bytes // (self.block_size_bytes * WAYS)
 
     def validate(self) -> "SimConfig":
         p = self.page_size_bytes
@@ -151,15 +151,13 @@ class SimConfig:
         for name in ("fast_capacity_bytes", "slow_capacity_bytes"):
             _need(getattr(self, name) % p == 0,
                   f"{name}: tier capacities must be whole pages")
-        _need(self.cache_ways == 4, f"cache_ways {self.cache_ways}: the block "
-              "cache is 4-way (its pLRU tree has 3 bits)")
         zone = self.cache_zone_bytes
         _need(zone < self.fast_capacity_bytes, "cache_zone_bytes: cache zone "
               "must leave room for page-managed fast memory")
         if self.policy in CACHING:
             _need(zone > 0, f"cache_zone_bytes: {self.policy.value} requires "
                   "a non-empty cache zone")
-            _need(zone % (self.block_size_bytes * self.cache_ways) == 0,
+            _need(zone % (self.block_size_bytes * WAYS) == 0,
                   "cache_zone_bytes: cache zone must be a multiple of "
                   "block_size * ways")
             sets = self.cache_sets
@@ -220,37 +218,48 @@ _SIZE_FIELDS = {
 
 
 def config_from_mapping(mapping: dict) -> SimConfig:
-    """Build a SimConfig from string-valued keys (config file / CLI)."""
+    """Build a SimConfig from string-valued keys (config file / CLI). A
+    value that does not parse is a ConfigError naming its field."""
     kwargs = {}
-    known = {f.name: f for f in fields(SimConfig)}
+    known = {f.name: f.type for f in fields(SimConfig)}
     for key, value in mapping.items():
         name = key.strip().replace("-", "_")
         if name not in known:
             raise ConfigError(f"unknown config key: {key}")
-        if name in _SIZE_FIELDS:
-            try:
-                kwargs[name] = parse_size(value)
-            except ConfigError as exc:
-                raise ConfigError(f"{name}: {exc}") from None
-        elif name == "policy":
-            kwargs[name] = value if isinstance(value, Policy) else Policy(str(value).lower())
-        elif name == "exact_recency":
-            word = str(value).strip().lower()
-            _need(word in ("true", "false", "yes", "no", "on", "off", "1", "0"),
-                  f"{name}: expected true/false/yes/no/on/off/1/0, got {value!r}")
-            kwargs[name] = word in ("true", "yes", "on", "1")
-        elif not isinstance(value, str):
-            kwargs[name] = value
-        elif known[name].type in ("float", float):
-            kwargs[name] = float(value)
-        else:
-            try:
-                number = float(value) if "." in value else int(value, 0)
-            except ValueError:
-                number = math.nan
-            _need(number % 1 == 0, f"{name}: expected an integer, got {value!r}")
-            kwargs[name] = int(number)
+        try:
+            kwargs[name] = _parse_value(name, known[name], value)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
     return SimConfig(**kwargs)
+
+
+def _parse_value(name: str, kind: str, value):
+    """Field `name`'s value, of annotated type `kind`, from `value`. Values
+    that are not strings pass through, except sizes and booleans."""
+    if name in _SIZE_FIELDS:
+        return parse_size(value)
+    if kind == "bool":
+        word = str(value).strip().lower()
+        _need(word in ("true", "false", "yes", "no", "on", "off", "1", "0"),
+              f"expected true/false/yes/no/on/off/1/0, got {value!r}")
+        return word in ("true", "yes", "on", "1")
+    if not isinstance(value, str):
+        return value
+    try:
+        if kind == "Policy":
+            return Policy(value.strip().lower())
+        if kind == "float":
+            return float(value)
+        number = float(value) if "." in value else int(value, 0)
+        if number % 1 == 0:
+            return int(number)
+    except ValueError:
+        pass
+    raise ConfigError(f"expected {_EXPECTED[kind]}, got {value!r}")
+
+
+_EXPECTED = {"int": "an integer", "float": "a number",
+             "Policy": "one of " + ", ".join(policy.value for policy in Policy)}
 
 
 def load_config_file(path) -> dict:

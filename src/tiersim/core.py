@@ -131,8 +131,7 @@ class Simulator:
                                 on_complete=self._swap_completed,
                                 exchange=self._exchange_chunks)
         self.controller = make_controller(cfg)
-        self.cache = (BlockCache(cfg.cache_sets, cfg.cache_ways,
-                                 cfg.block_size_bytes)
+        self.cache = (BlockCache(cfg.cache_sets, cfg.block_size_bytes)
                       if cfg.policy in CACHING else None)
         # The request path's constants: geometry as shifts and masks (pages
         # and blocks are powers of two), and the access bitmap, which only
@@ -376,9 +375,11 @@ class Simulator:
         action = slow_touch_action(self.config.policy,
                                    self.pagetable.cached_blocks[host_page],
                                    self._live_threshold())
-        if action == TRY_SWAP:
-            if not self.engine.busy and self.pagetable.candidate is not None:
-                self._start_swap(host_page, internal)
+        # A victim candidate is always waiting: one is found at construction
+        # and at the end of every `_start_swap`, and `search_candidate`
+        # raises rather than leave none.
+        if action == TRY_SWAP and not self.engine.busy:
+            self._start_swap(host_page, internal)
         elif action == COPY_BLOCK:
             self._copy_block_in(host_page, internal, block_id, block_in_page,
                                 arrival_ns)
@@ -548,7 +549,3 @@ class Simulator:
                     data = arenas[ref >> arena_shift][lo:lo + block]
                 update(block_id.to_bytes(8, "little") + data)
         return h.hexdigest()
-
-def run_trace(records, config: SimConfig) -> dict:
-    """Convenience wrapper: one simulator, one trace, one report."""
-    return Simulator(config).run(records)

@@ -7,6 +7,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .pagetable import BITMAP_BITS, COUNTER_MAX
+from .subcache import PLRU_BITS, WAYS
+
 REPORT_SCHEMA_VERSION = 1
 
 # 1 mW sustained for 1 ns is 1e-3 nJ.
@@ -132,21 +135,19 @@ class MetadataCostReport:
 
 # Fixed widths of the per-entry and per-set metadata in the hardware design:
 # a page entry carries 5 statistic bits on top of the page number; a cache
-# set carries four 8-bit tags, 3 pLRU bits and 4 dirty bits (39 bits total).
+# set carries an 8-bit tag and a dirty bit per way plus the pLRU bits (39
+# bits for 4 ways).
 PAGE_ENTRY_STAT_BITS = 5
 SET_TAG_BITS = 8
-SET_PLRU_BITS = 3
-SET_WAYS = 4
 
-# Functional (simulation-accurate) widths: the 4-bit resident-block counter
-# plus the 8-bit access bitmap per page entry, and full tags plus valid bits
-# per cache set.
-FUNCTIONAL_PAGE_STAT_BITS = 4 + 8
+# Functional (simulation-accurate) widths: the resident-block counter plus
+# the access bitmap per page entry, and full tags plus valid bits per cache
+# set.
+FUNCTIONAL_PAGE_STAT_BITS = COUNTER_MAX.bit_length() + BITMAP_BITS
 
 
 def metadata_cost(total_space_bytes: int, page_size_bytes: int,
-                  cache_sets: int = 0, block_bytes: int = 128,
-                  ways: int = SET_WAYS) -> MetadataCostReport:
+                  cache_sets: int = 0, block_bytes: int = 128) -> MetadataCostReport:
     if page_size_bytes <= 0 or page_size_bytes & (page_size_bytes - 1):
         raise ValueError("page size must be a power of two")
     if total_space_bytes % page_size_bytes:
@@ -155,14 +156,14 @@ def metadata_cost(total_space_bytes: int, page_size_bytes: int,
     addr_bits = max(0, (entries - 1).bit_length()) if entries > 1 else 0
     bits_per_entry = addr_bits + PAGE_ENTRY_STAT_BITS
     entry_bytes = math.ceil(bits_per_entry / 8)
-    bits_per_set = SET_WAYS * SET_TAG_BITS + SET_PLRU_BITS + SET_WAYS
+    bits_per_set = WAYS * SET_TAG_BITS + PLRU_BITS + WAYS
 
     func_bits_entry = addr_bits + FUNCTIONAL_PAGE_STAT_BITS
     total_blocks = total_space_bytes // block_bytes
     block_bits = max(1, (max(1, total_blocks) - 1).bit_length())
     set_bits = max(0, (cache_sets - 1).bit_length()) if cache_sets > 1 else 0
     func_tag_bits = max(1, block_bits - set_bits)
-    func_bits_set = ways * func_tag_bits + SET_PLRU_BITS + ways + ways
+    func_bits_set = WAYS * func_tag_bits + PLRU_BITS + WAYS + WAYS
 
     return MetadataCostReport(
         bits_per_page_entry=bits_per_entry,

@@ -48,7 +48,7 @@ class DmaEngine:
     """
 
     def __init__(self, page_bytes: int, chunk_bytes: int, bandwidth: float,
-                 on_complete, exchange=None):
+                 on_complete, exchange):
         self.page_bytes = page_bytes
         self.chunk_bytes = chunk_bytes
         self.bandwidth = bandwidth
@@ -108,8 +108,7 @@ class DmaEngine:
     def _land(self, job: SwapJob):
         """Move the content of the chunks copied since the last landing."""
         if job.exchanged_chunks != job.applied_chunks:
-            if self.exchange is not None:
-                self.exchange(job.exchanged_chunks, job.applied_chunks)
+            self.exchange(job.exchanged_chunks, job.applied_chunks)
             job.exchanged_chunks = job.applied_chunks
 
     def completion_ns(self) -> int:

@@ -19,6 +19,7 @@ from .config import CACHING, MIGRATING, Policy
 from .metering import REPORT_SCHEMA_VERSION
 from .pagetable import BITMAP_BITS, COUNTER_MAX
 from .recency import mix64
+from .subcache import PLRU_BITS, WAYS
 from .trace import Trace, TraceError
 
 
@@ -168,10 +169,9 @@ def oracle_run(records, config):
     # Sub-page cache: per set, per way dicts plus three pLRU booleans.
     use_cache = policy in CACHING
     nsets = cfg.cache_sets if use_cache else 0
-    ways = cfg.cache_ways
     sets = [{"ways": [{"tag": 0, "valid": False, "dirty": False,
-                       "data": bytearray(block)} for _ in range(ways)],
-             "plru": [False, False, False]} for _ in range(nsets)]
+                       "data": bytearray(block)} for _ in range(WAYS)],
+             "plru": [False] * PLRU_BITS} for _ in range(nsets)]
 
     def plru_touch(s, way):
         root, left, right = s["plru"]
@@ -191,7 +191,7 @@ def oracle_run(records, config):
 
     def cache_find(block_id):
         s = sets[block_id % nsets]
-        for w in range(ways):
+        for w in range(WAYS):
             if s["ways"][w]["valid"] and s["ways"][w]["tag"] == block_id:
                 return s, w
         return s, None
@@ -370,7 +370,7 @@ def oracle_run(records, config):
         # Copy the touched block into the cache zone.
         s = sets[block_id % nsets]
         way = None
-        for w in range(ways):
+        for w in range(WAYS):
             if not s["ways"][w]["valid"]:
                 way = w
                 break

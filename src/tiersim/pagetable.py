@@ -116,6 +116,3 @@ class PageTable:
     def swap_mappings(self, host_a: int, host_b: int):
         ta, tb = self.table[host_a], self.table[host_b]
         self.table[host_a], self.table[host_b] = tb, ta
-
-    def check_bijection(self) -> bool:
-        return sorted(self.table) == list(range(self.total_pages))

@@ -1,9 +1,10 @@
 """Placement policies over the shared machinery.
 
-The five policy kinds live in `config.Policy`; the dispatch loop consults
-`slow_touch_action` on every miss to slow memory, and the adaptive
-controller retunes the promotion threshold from the utilization of pages it
-has already promoted.
+The five policy kinds live in `config.Policy`. The request loop asks
+`slow_touch_action` what to do about a touch of a slow page, only under a
+migrating policy, and only while the DMA engine is idle unless there is a
+block cache. The adaptive controller retunes the promotion threshold from
+the utilization of pages it has already promoted.
 """
 
 from __future__ import annotations
@@ -11,16 +12,14 @@ from __future__ import annotations
 from .config import Policy
 from .pagetable import BITMAP_BITS
 
-# Actions returned to the dispatch loop for a foreground touch that landed
-# on a slow-tier page.
-FORWARD = "forward"          # serve from slow memory, nothing else
+# Actions returned to the request loop for a foreground touch that landed
+# on a slow-tier page; either way the touch itself is served from slow.
 TRY_SWAP = "swap"            # serve from slow, then start a page swap if possible
 COPY_BLOCK = "copy_block"    # serve from slow, then copy the block to the cache zone
 
 
 def slow_touch_action(policy: Policy, cached_blocks: int, threshold: int) -> str:
-    if policy is Policy.STATIC:
-        return FORWARD
+    """The action of a migrating policy; static placement never asks."""
     if policy is Policy.PAGEMOVE:
         return TRY_SWAP
     # Combined policies: promote the whole page once enough of its blocks

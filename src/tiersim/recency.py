@@ -48,8 +48,6 @@ class BloomRecencyFilter:
     `window` pages.
     """
 
-    exact = False
-
     def __init__(self, window: int, pages: int = 0):
         if window < 1:
             raise ValueError("window must be positive")
@@ -120,8 +118,6 @@ class BloomRecencyFilter:
 
 class ExactRecencyFilter:
     """Exact queue of the last `window` recorded pages (test/oracle mode)."""
-
-    exact = True
 
     def __init__(self, window: int):
         self.window = window

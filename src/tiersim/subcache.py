@@ -3,7 +3,7 @@
 and dirty writeback.
 
 The storage is flat, like the zone it models. Line `(set, way)` is line
-number `set * ways + way`; its data is the block at `line * block_bytes`
+number `set * WAYS + way`; its data is the block at `line * block_bytes`
 in one `zone` bytearray, its tag is that entry of an `array('Q')`, and its
 valid and dirty flags are one byte each in two bytearrays. Each set keeps
 its 3 pLRU bits in one byte of a fourth. Beside these, a `resident` dict
@@ -15,6 +15,11 @@ insert.
 from __future__ import annotations
 
 from array import array
+
+# The paper's set geometry: 4 ways under a 3-bit tree pseudo-LRU. The
+# configuration, the metadata-cost calculator and the oracle read it here.
+WAYS = 4
+PLRU_BITS = WAYS - 1
 
 # The 3-bit tree for 4 ways: bit 0 is the root (set: the right pair is
 # older), bit 1 the left pair (set: way 1 is older), bit 2 the right pair
@@ -35,13 +40,11 @@ class BlockCache:
     relocated (which is what proactive recycling checks for).
     """
 
-    def __init__(self, sets: int, ways: int, block_bytes: int):
-        assert ways == 4, "tree pLRU below is the 3-bit, 4-way variant"
+    def __init__(self, sets: int, block_bytes: int):
         self.nsets = sets
-        self.ways = ways
         self.block_bytes = block_bytes
         self.set_mask = sets - 1
-        lines = sets * ways
+        lines = sets * WAYS
         self.zone = bytearray(lines * block_bytes)
         self.tags = array("Q", [0]) * lines
         self.valid = bytearray(lines)
@@ -49,13 +52,9 @@ class BlockCache:
         self.plru = bytearray(sets)
         self.resident = {}  # block id -> way, for every valid line
 
-    @property
-    def valid_count(self) -> int:
-        return len(self.resident)
-
     def line_of(self, block_id: int, way: int) -> int:
         """The line number of `way` in the set of `block_id`."""
-        return (block_id & self.set_mask) * self.ways + way
+        return (block_id & self.set_mask) * WAYS + way
 
     # Operations ----------------------------------------------------------
 
@@ -76,8 +75,8 @@ class BlockCache:
         """Insert a clean copy. Returns the evicted (block_id, dirty, data)
         descriptor when a valid victim was displaced, else None."""
         idx = block_id & self.set_mask
-        first = idx * self.ways
-        line = self.valid.find(0, first, first + self.ways)
+        first = idx * WAYS
+        line = self.valid.find(0, first, first + WAYS)
         victim = None
         if line < 0:
             line = first + _VICTIM[self.plru[idx]]
@@ -99,7 +98,7 @@ class BlockCache:
     def line_offset(self, block_id: int, way: int, write: bool = False) -> int:
         """Where the resident line's data starts in `zone`; the line is
         marked dirty when it is about to be written."""
-        line = (block_id & self.set_mask) * self.ways + way
+        line = (block_id & self.set_mask) * WAYS + way
         if write:
             self.dirty[line] = 1
         return line * self.block_bytes

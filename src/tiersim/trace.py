@@ -51,9 +51,6 @@ class TraceRecord:
     host_addr: int
     size_bytes: int
 
-    def line(self) -> str:
-        return _format_line(self.kind, self.host_addr, self.size_bytes)
-
 
 # The columns hold addresses below 2**64 and sizes below 2**32; a block of
 # 2**64 bytes leaves every request whole.

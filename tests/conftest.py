@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tiersim import MemoryRequest, Policy, SimConfig, Simulator, Trace
+from tiersim import Policy, SimConfig, Simulator, Trace
 
 
 def small_config(policy=Policy.PAGEMOVE, **overrides):
@@ -19,6 +19,11 @@ def small_config(policy=Policy.PAGEMOVE, **overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def run_trace(records, config):
+    """One simulator, one trace, one report."""
+    return Simulator(config).run(records)
 
 
 def dump_pagetable(pt) -> str:
@@ -50,14 +55,19 @@ def random_records(n, host_space_bytes, seed, write_fraction=0.5,
 
 
 def shadow_run(config, trace):
-    """Dispatch a trace's records while checking every read against a flat
-    shadow model of memory contents. Returns (simulator, report,
-    mismatches).
+    """Serve a trace in one batch with per-request outcomes, then check
+    every read against a flat shadow model of memory contents, replayed
+    over the outcomes in order. Each read's bytes were captured when it was
+    served, so the replay sees what the simulator returned at that point.
+    Returns (simulator, report, mismatches).
 
     Also checks that the per-request outcomes add up to the report: their
     latencies and stalls to the elapsed time, and their devices to the
     foreground fast-tier accesses."""
     sim = Simulator(config)
+    outcomes = []
+    sim._serve(trace.kinds, trace.addrs, trace.sizes, 0, outcomes)
+    assert len(outcomes) == len(trace)
     # One byte per host byte; never-written bytes read as zeros. Byte i of
     # write `seq` is (seq + i) & 0xFF, which is byte (seq & 0xFF) + i of
     # `cycle`, so a write of up to a block is one slice of it.
@@ -66,9 +76,9 @@ def shadow_run(config, trace):
     mismatches = 0
     service_ns = 0
     fast_outcomes = 0
-    for seq, (kind, addr, size) in enumerate(
-            zip(trace.kinds, trace.addrs, trace.sizes)):
-        out = sim.dispatch(MemoryRequest(kind, addr, size, seq))
+    for seq, (kind, addr, size, out) in enumerate(
+            zip(trace.kinds, trace.addrs, trace.sizes, outcomes)):
+        assert out.seq == seq
         service_ns += out.latency_ns + out.stall_ns
         fast_outcomes += out.device == "fast"
         if kind == "W":

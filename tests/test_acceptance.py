@@ -5,12 +5,11 @@ import random
 from collections import deque
 
 from tiersim import (Policy, SimConfig, Simulator, TraceRecord,
-                     WorkloadSpec, generate, metadata_cost, oracle_run,
-                     run_trace)
+                     WorkloadSpec, generate, metadata_cost, oracle_run)
 from tiersim.recency import BloomRecencyFilter
 
-from conftest import (random_oracle_config, random_records, shadow_run,
-                      small_config)
+from conftest import (random_oracle_config, random_records, run_trace,
+                      shadow_run, small_config)
 
 GIB = 1024 ** 3
 ALL_POLICIES = (Policy.STATIC, Policy.PAGEMOVE, Policy.STATCOMB,

@@ -1,15 +1,20 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from tiersim import Simulator
-from tiersim.cli import main
+from tiersim import ConfigError, SimConfig, Simulator
+from tiersim.cli import CONFIG_FLAGS, SWEEPABLE, build_parser, main
+from tiersim.config import config_from_mapping
 
 BASE = ["--fast-size", "256KiB", "--slow-size", "1MiB", "--bloom-window", "16"]
 CACHE = ["--cache-size", "64KiB"]
+TINY = ["--gen", "sequential", "--pages", "4", "--requests", "10"]
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
+FLOAT_FIELDS = [name for name, kind in FIELD_TYPES.items() if kind == "float"]
 
 
 def run_cli(*argv):
@@ -294,6 +299,14 @@ class TestMetacost:
         assert "1.5MiB total" in text
         assert "39 bits/set" in text
         assert "312KiB" in text
+        assert "functional: 31 bits/entry, 2MiB total" in text
+        assert "functional: 43 bits/set, 344KiB total" in text
+
+    def test_the_way_count_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("metacost", "--sets", "16", "--ways", "4")
+        assert info.value.code == 2
+        assert "unrecognized arguments: --ways 4" in capsys.readouterr().err
 
     def test_degenerate_single_page(self, capsys):
         rc = run_cli("metacost", "--space", "4KiB", "--page", "4KiB")
@@ -304,6 +317,56 @@ class TestMetacost:
         rc = run_cli("metacost", "--space", "2GiB", "--page", "5000")
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+each_flag = pytest.mark.parametrize(
+    "flag,field", [row[:2] for row in CONFIG_FLAGS],
+    ids=[row[0] for row in CONFIG_FLAGS])
+
+
+class TestConfigFlags:
+    @each_flag
+    def test_flag_keeps_its_string_under_its_field(self, flag, field):
+        assert field in FIELD_TYPES
+        sweep = ["--param", "bloom_window", "--values", "16"]
+        for argv in (["run", flag, "7"], ["sweep", flag, "7", *sweep]):
+            assert getattr(build_parser().parse_args(argv), field) == "7"
+
+    @each_flag
+    def test_bad_value_exits_1_naming_its_field(self, flag, field, capsys):
+        # "2.5" is a number, so only a float field takes it.
+        bad = ["x", "1.5b"] + ([] if FIELD_TYPES[field] == "float" else ["2.5"])
+        for value in bad:
+            assert run_cli("run", *TINY, flag, value) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field}: ")
+            assert err.endswith(f"{value!r}\n") and "usage" not in err
+
+    def test_fractional_threshold_message(self, capsys):
+        assert run_cli("run", *TINY, "--threshold", "2.5") == 1
+        assert capsys.readouterr().err == (
+            "error: promotion_threshold: expected an integer, got '2.5'\n")
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS + ["policy"])
+def test_unparsable_value_names_its_field(field, tmp_path, capsys):
+    """Each path to a config value parses it the same way: a mapping, a
+    `--config` line, `sweep --values` for a sweepable field and `--policy`
+    for the policy."""
+    with pytest.raises(ConfigError,
+                       match=f"^{field}: expected .*, got 'fast'$"):
+        config_from_mapping({field: "fast"})
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(f"{field} = fast\n")
+    runs = [("run", "--config", str(cfgfile), *TINY)]
+    if field in SWEEPABLE:
+        runs.append(("sweep", *BASE, *TINY, "--param", field,
+                     "--values", "fast"))
+    if field == "policy":
+        runs.append(("run", *BASE, *TINY, "--policy", "pagemove,fast"))
+    for argv in runs:
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_console_script_entrypoint():

@@ -70,6 +70,9 @@ class TestMapping:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             config_from_mapping({"dram_size": "1MiB"})
+        # The block cache is always 4-way, so its way count is no key.
+        with pytest.raises(ConfigError, match="unknown config key: cache_ways"):
+            config_from_mapping({"cache_ways": "4"})
 
     def test_exact_recency_values(self):
         for word in ("true", "True", "YES", " on ", "1", True):
@@ -145,7 +148,7 @@ class TestGeometry:
 
 class TestValidation:
     @pytest.mark.parametrize("field,values", [
-        ("cache_ways", [2, 8]),
+        ("adaptive_min_threshold", [0, 9]),
         ("adaptive_alpha", [0.0, -0.25, 1.5]),
         ("adaptive_lo_water", [-0.1, 1.1]),
         ("adaptive_hi_water", [-0.1, 1.1]),

@@ -6,12 +6,11 @@ import tracemalloc
 import pytest
 
 from tiersim import (ConfigError, MemoryRequest, Policy, SimConfig, Simulator,
-                     Trace, TraceError, TraceRecord, WorkloadSpec, generate,
-                     run_trace)
+                     Trace, TraceError, TraceRecord, WorkloadSpec, generate)
 from tiersim import core
 from tiersim.core import write_payload
 
-from conftest import (dump_pagetable, random_records, shadow_run,
+from conftest import (dump_pagetable, random_records, run_trace, shadow_run,
                       small_config)
 
 

@@ -11,7 +11,8 @@ from tiersim.policies import slow_touch_action
 from conftest import random_records, small_config
 
 
-def make_engine(page=4096, chunk=128, bw=8.0, exchange=None):
+def make_engine(page=4096, chunk=128, bw=8.0,
+                exchange=lambda first, stop: None):
     done = []
     eng = DmaEngine(page, chunk, bw, on_complete=done.append,
                     exchange=exchange)

@@ -1,16 +1,25 @@
 import pytest
 
-from tiersim import Policy, Simulator, TraceRecord
-from tiersim.policies import (COPY_BLOCK, FORWARD, TRY_SWAP,
-                              AdaptiveController, slow_touch_action)
+from tiersim import Policy, Simulator, TraceRecord, core
+from tiersim.policies import (COPY_BLOCK, TRY_SWAP, AdaptiveController,
+                              slow_touch_action)
 
 from conftest import random_records, small_config
 
 
 class TestSlowTouchAction:
-    def test_static_always_forwards(self):
-        assert slow_touch_action(Policy.STATIC, 0, 4) == FORWARD
-        assert slow_touch_action(Policy.STATIC, 10, 4) == FORWARD
+    def test_static_always_forwards(self, monkeypatch):
+        # Static placement never asks the policy: every slow touch is served
+        # from slow memory and nothing moves.
+        def asked(*args):
+            raise AssertionError("static placement asked for an action")
+
+        monkeypatch.setattr(core, "slow_touch_action", asked)
+        sim = Simulator(small_config(Policy.STATIC))
+        rep = sim.run(random_records(2000, sim.config.host_space_bytes, 3))
+        assert rep["slow_reads"] > 0 and rep["slow_writes"] > 0
+        assert rep["page_relocations"] == rep["block_relocations"] == 0
+        assert rep["migrated_bytes"] == 0
 
     def test_pagemove_always_swaps(self):
         assert slow_touch_action(Policy.PAGEMOVE, 0, 4) == TRY_SWAP

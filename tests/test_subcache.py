@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from tiersim import MemoryRequest, Policy, Simulator
 from tiersim.pagetable import COUNTER_MAX
-from tiersim.subcache import BlockCache
+from tiersim.subcache import WAYS, BlockCache
 
 from conftest import small_config
 
 
 def make_cache(sets=4):
-    return BlockCache(sets, 4, 128)
+    return BlockCache(sets, 128)
 
 
 def dump_cache(c) -> str:
@@ -20,7 +20,7 @@ def dump_cache(c) -> str:
     set's pLRU bits."""
     lines = ["set way tag valid dirty plru"]
     for idx in range(c.nsets):
-        for way in range(c.ways):
+        for way in range(WAYS):
             line = c.line_of(idx, way)
             lines.append(f"{idx} {way} {c.tags[line]} {c.valid[line]} "
                          f"{c.dirty[line]} {c.plru[idx]:03b}")
@@ -88,9 +88,9 @@ class TestLookupInsert:
         c = make_cache(sets=2)
         c.insert(0, bytes(128))
         c.insert(1, bytes(128))
-        assert c.valid_count == 2
+        assert sum(c.valid) == len(c.resident) == 2
         c.invalidate(0, c.peek(0))
-        assert c.valid_count == 1
+        assert sum(c.valid) == len(c.resident) == 1
 
 
 class TestPlru:
@@ -206,7 +206,7 @@ def test_residency_index_matches_a_linear_scan(sets):
                 ref.write(block, way, offset, payload)
             elif way is not None:
                 assert c.invalidate(block, way) == ref.invalidate(block, way)
-        assert len(c.resident) == c.valid_count == sum(
+        assert len(c.resident) == sum(c.valid) == sum(
             line[1] for lines in ref.sets for line in lines)
         assert_same_state(c, ref)
 
@@ -308,7 +308,7 @@ class TestSimulatorCachePaths:
             addr = page * 4096 + rng.randrange(32) * 128
             sim.dispatch(MemoryRequest(rng.choice("RW"), addr, 64, seq))
             seq += 1
-        assert sum(sim.pagetable.cached_blocks) == sim.cache.valid_count
+        assert sum(sim.pagetable.cached_blocks) == len(sim.cache.resident)
 
 
 class TestRecycling:
@@ -387,7 +387,7 @@ CACHE_OPS = st.lists(st.tuples(
        ops=CACHE_OPS)
 def test_flat_cache_matches_a_linear_scan_at_any_geometry(log_sets, block, ops):
     sets = 1 << log_sets
-    c, ref = BlockCache(sets, 4, block), LinearScanCache(sets)
+    c, ref = BlockCache(sets, block), LinearScanCache(sets)
     for op, block_id, offset, payload in ops:
         block_id %= 6 * sets
         way = ref.peek(block_id)
@@ -406,8 +406,8 @@ def test_flat_cache_matches_a_linear_scan_at_any_geometry(log_sets, block, ops):
             ref.write(block_id, way, offset, payload)
         elif op == "invalidate" and way is not None:
             assert c.invalidate(block_id, way) == ref.invalidate(block_id, way)
-        assert c.valid_count == sum(line[1] for lines in ref.sets
-                                    for line in lines)
+        assert sum(c.valid) == sum(line[1] for lines in ref.sets
+                                   for line in lines)
     assert_same_state(c, ref)
 
 
@@ -417,7 +417,7 @@ def test_a_zone_costs_little_more_than_its_bytes():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        c = BlockCache(zone // (4 * 128), 4, 128)
+        c = BlockCache(zone // (WAYS * 128), 128)
         allocated = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
