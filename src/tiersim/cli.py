@@ -14,7 +14,7 @@ import traceback
 
 from .config import (CACHING, ConfigError, Policy, SimConfig,
                      config_from_mapping, load_config_file, parse_size)
-from .core import SimulationError, Simulator
+from .core import Simulator
 from .metering import REPORT_SCHEMA_VERSION, metadata_cost
 from .trace import (WORKLOAD_KINDS, TraceBoundError, TraceError, WorkloadSpec,
                     generate, load_trace, write_trace)
@@ -139,7 +139,7 @@ def workload_records(args, base: SimConfig, end: int = 1 << 64):
         raise TraceError("need --trace or --gen")
     if args.footprint:
         footprint = parse_size(args.footprint)
-    elif args.pages:
+    elif args.pages is not None:
         footprint = args.pages * base.page_size_bytes
     else:
         footprint = min(base.host_space_bytes, 64 * 1024 * 1024)
@@ -234,7 +234,7 @@ def _run_labeled(args, base, runs) -> list:
             try:
                 reports.append(Simulator(cfg).run(records))
                 continue
-            except (TraceError, SimulationError) as exc:
+            except TraceError as exc:
                 error = str(exc)
         reports.append({"policy": policy.value, "error": error})
     return reports
@@ -285,10 +285,10 @@ def _human(nbytes: float) -> str:
 
 def cmd_metacost(args) -> int:
     page = parse_size(args.page)
-    space = parse_size(args.space) if args.space else 0
-    block = parse_size(args.block)
-    report = metadata_cost(space or page, page, args.sets, block)
-    if space:
+    space = None if args.space is None else parse_size(args.space)
+    report = metadata_cost(page if space is None else space, page, args.sets,
+                           parse_size(args.block))
+    if space is not None:
         print(f"page table: {report.bits_per_page_entry} bits/entry "
               f"({report.page_entry_bytes} bytes), {report.page_entries} entries, "
               f"{_human(report.total_page_table_bytes)} total")

@@ -115,21 +115,15 @@ class SimConfig:
     @property
     def fast_pages(self) -> int:
         """Page-managed pages in the fast tier (cache zone excluded)."""
-        if self.policy is Policy.ALLDRAM:
-            return self.total_pages
         return (self.fast_capacity_bytes - self.cache_zone_bytes) // self.page_size_bytes
 
     @property
     def slow_pages(self) -> int:
-        if self.policy is Policy.ALLDRAM:
-            return 0
         return self.slow_capacity_bytes // self.page_size_bytes
 
     @property
     def total_pages(self) -> int:
         """Host-visible pages."""
-        if self.policy is Policy.ALLDRAM:
-            return (self.fast_capacity_bytes + self.slow_capacity_bytes) // self.page_size_bytes
         return self.fast_pages + self.slow_pages
 
     @property
@@ -151,6 +145,10 @@ class SimConfig:
         for name in ("fast_capacity_bytes", "slow_capacity_bytes"):
             _need(getattr(self, name) % p == 0,
                   f"{name}: tier capacities must be whole pages")
+        # The all-DRAM baseline is one fast tier: its whole capacity is fast.
+        _need(self.policy is not Policy.ALLDRAM or self.slow_capacity_bytes == 0,
+              "slow_capacity_bytes: alldram has no slow tier; give its whole "
+              "capacity as fast_capacity_bytes")
         zone = self.cache_zone_bytes
         _need(zone < self.fast_capacity_bytes, "cache_zone_bytes: cache zone "
               "must leave room for page-managed fast memory")

@@ -43,10 +43,6 @@ from .subcache import BlockCache
 from .trace import Trace, TraceError
 
 
-class SimulationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class MemoryRequest:
     kind: str              # "R" or "W"
@@ -93,10 +89,6 @@ class Simulator:
         self.block_bytes = cfg.block_size_bytes
         self.blocks_per_page = cfg.blocks_per_page
         self.host_space_bytes = cfg.host_space_bytes
-        # All-DRAM maps a host space larger than its fast capacity, so only
-        # there can a trace's footprint outgrow the pages that exist.
-        self.capacity_pages = (cfg.fast_capacity_bytes // cfg.page_size_bytes
-                               + cfg.slow_pages)
         # Content: internal page -> array of its blocks' slot references.
         # A reference is the slot's byte offset across the arenas, so its
         # high bits pick the arena and its low bits the offset in it.
@@ -106,9 +98,9 @@ class Simulator:
         self.arena_mask = arena_bytes - 1
         self.arenas = [bytearray(arena_bytes)]   # slot 0: the zero block
         self.next_slot = self.block_bytes        # reference of the next slot
-        # At most `capacity_pages` indexes exist, so this bounds every
+        # At most one index per internal page exists, so this bounds every
         # reference; a large geometry gets 8-byte entries.
-        last_ref = (self.capacity_pages * self.blocks_per_page
+        last_ref = (cfg.total_pages * self.blocks_per_page
                     + 1) * self.block_bytes
         self._blank_index = array("I" if last_ref < 1 << 32 else "Q",
                                   [0]) * self.blocks_per_page
@@ -153,12 +145,7 @@ class Simulator:
         """The page's slot index, created on its first touch."""
         index = self.mem.get(internal_page)
         if index is None:
-            if len(self.mem) >= self.capacity_pages:
-                raise SimulationError(
-                    "all-DRAM run needs fast capacity >= trace footprint "
-                    f"(more than {self.capacity_pages} pages touched)")
-            index = self._blank_index[:]
-            self.mem[internal_page] = index
+            index = self.mem[internal_page] = self._blank_index[:]
         return index
 
     def _new_slot(self, index: array, i: int) -> int:
@@ -313,8 +300,6 @@ class Simulator:
                         engine.advance_to(ledger.total_foreground_ns)
                         internal = self._locate(host_page, offset_in_page)
                 fast = internal < fast_pages
-                # `_page_mem` creates indexes, so it alone enforces the
-                # all-DRAM footprint.
                 index = mem.get(internal) or page_mem(internal)
                 # A read in `run` copies no bytes, so it needs no slot.
                 if kind != "R" or keep:
@@ -360,7 +345,6 @@ class Simulator:
         self.arenas[ref >> self.arena_shift][lo:lo + len(data)] = data
         tier = "fast" if self.pagetable.in_fast(internal) else "slow"
         self.ledger.charge(tier, "write", False, len(data))
-        self.ledger.charge_migrated(len(data))
         return tier
 
     # Policy side effects ---------------------------------------------------
@@ -398,7 +382,6 @@ class Simulator:
         self.ledger.charge("fast", "write", False, page)
         self.ledger.charge("fast", "read", False, page)
         self.ledger.charge("slow", "write", False, page)
-        self.ledger.charge_migrated(2 * page)
         self.page_relocations += 1
         self.pagetable.search_candidate(
             excluded_internal=(internal, dst_internal))
@@ -411,7 +394,6 @@ class Simulator:
         self.pagetable.add_cached_block(host_page)
         self.ledger.charge("slow", "read", False, block)
         self.ledger.charge("fast", "write", False, block)
-        self.ledger.charge_migrated(block)
         self.block_relocations += 1
         if victim is not None:
             self._evict_victim(victim, arrival_ns)

@@ -59,7 +59,6 @@ class MeterLedger:
         self.total_foreground_ns = 0
         self.stall_ns = 0
         self.write_stalls = 0
-        self.migrated_bytes = 0
 
     def charge(self, tier: str, kind: str, foreground: bool, nbytes: int):
         """Count an access and return the foreground time it took."""
@@ -75,9 +74,6 @@ class MeterLedger:
         self.stall_ns += ns
         self.write_stalls += 1
         self.total_foreground_ns += ns
-
-    def charge_migrated(self, nbytes: int):
-        self.migrated_bytes += nbytes
 
     # Derived ------------------------------------------------------------
 
@@ -104,7 +100,9 @@ class MeterLedger:
             "foreground_accesses": fg_accesses,
             "fast_hit_fraction": fast_hits / fg_accesses if fg_accesses else 1.0,
             "slow_writes_total": self.slow_writes + self.mig_slow_writes,
-            "migrated_bytes": self.migrated_bytes,
+            # Each migrated block is written exactly once, to one tier.
+            "migrated_bytes": self.block_size * (self.mig_fast_writes
+                                                 + self.mig_slow_writes),
             "write_stalls": self.write_stalls,
             "stall_ns": self.stall_ns,
             "total_foreground_ns": self.total_foreground_ns,
@@ -148,10 +146,21 @@ FUNCTIONAL_PAGE_STAT_BITS = COUNTER_MAX.bit_length() + BITMAP_BITS
 
 def metadata_cost(total_space_bytes: int, page_size_bytes: int,
                   cache_sets: int = 0, block_bytes: int = 128) -> MetadataCostReport:
-    if page_size_bytes <= 0 or page_size_bytes & (page_size_bytes - 1):
-        raise ValueError("page size must be a power of two")
-    if total_space_bytes % page_size_bytes:
-        raise ValueError("space must be a whole number of pages")
+    """Metadata widths and totals for a space of `total_space_bytes` in
+    pages of `page_size_bytes` and a cache of `cache_sets` sets (0: none).
+    A bad argument is a ValueError that starts with its `metacost` flag."""
+    page, block = page_size_bytes, block_bytes
+    if not _power_of_two(page):
+        raise ValueError(f"page: page size {page} is not a power of two")
+    if not _power_of_two(block) or page % block:
+        raise ValueError(f"block: block size {block} is not a power of two "
+                         f"that divides the page size {page}")
+    if cache_sets and not _power_of_two(cache_sets):
+        raise ValueError(f"sets: set count {cache_sets} is neither 0 nor a "
+                         "power of two")
+    if total_space_bytes <= 0 or total_space_bytes % page:
+        raise ValueError(f"space: {total_space_bytes} bytes is not a positive "
+                         "whole number of pages")
     entries = total_space_bytes // page_size_bytes
     addr_bits = max(0, (entries - 1).bit_length()) if entries > 1 else 0
     bits_per_entry = addr_bits + PAGE_ENTRY_STAT_BITS
@@ -178,6 +187,10 @@ def metadata_cost(total_space_bytes: int, page_size_bytes: int,
         functional_bits_per_cache_set=func_bits_set,
         functional_cache_meta_bytes=func_bits_set * cache_sets / 8,
     )
+
+
+def _power_of_two(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
 
 
 def gib(nbytes: int) -> float:

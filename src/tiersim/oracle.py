@@ -41,6 +41,11 @@ def oracle_run(records, config):
     block = cfg.block_size_bytes
     bpp = page // block
     region_blocks = max(1, bpp // BITMAP_BITS)
+    # Geometry from the raw fields: the cache zone is carved out of fast
+    # memory, and every other page of either tier is host-visible.
+    fast_pages = (cfg.fast_capacity_bytes - cfg.cache_zone_bytes) // page
+    total_pages = fast_pages + cfg.slow_capacity_bytes // page
+    host_space = total_pages * page
 
     # Meters.
     counts = {"fast_read": 0, "fast_write": 0, "slow_read": 0, "slow_write": 0,
@@ -91,33 +96,7 @@ def oracle_run(records, config):
         counts[charge_key[tier, kind, foreground]] += units
         clock += charge_ns[tier, kind, foreground] * units
 
-    if policy is Policy.ALLDRAM:
-        footprint_pages = set()
-        for seq, (kind, addr, size) in enumerate(columns):
-            _validate(addr, size, seq, cfg)
-            touched.add(addr // block)
-            if kind == "R":
-                n_reads += 1
-            else:
-                n_writes += 1
-            hp = addr // page
-            if hp not in footprint_pages:
-                footprint_pages.add(hp)
-                if len(footprint_pages) * page > cfg.fast_capacity_bytes:
-                    raise OracleError("all-DRAM run exceeds fast capacity")
-            if kind == "R":
-                charge("fast", "read", True, size)
-            else:
-                charge("fast", "write", True, size)
-                apply_write(addr, size, seq)
-        return _report(cfg, counts, clock, stall_ns, write_stalls,
-                       migrated_bytes, n_reads, n_writes, len(trace),
-                       len(footprint_pages), 0, 0, 0, 0,
-                       cfg.promotion_threshold), _digest(content, touched, block)
-
     # Page table: host page -> internal page (and back).
-    total_pages = cfg.total_pages
-    fast_pages = cfg.fast_pages
     table = {h: h for h in range(total_pages)}
     if policy is Policy.STATIC:
         import random
@@ -168,7 +147,7 @@ def oracle_run(records, config):
 
     # Sub-page cache: per set, per way dicts plus three pLRU booleans.
     use_cache = policy in CACHING
-    nsets = cfg.cache_sets if use_cache else 0
+    nsets = cfg.cache_zone_bytes // (block * WAYS) if use_cache else 0
     sets = [{"ways": [{"tag": 0, "valid": False, "dirty": False,
                        "data": bytearray(block)} for _ in range(WAYS)],
              "plru": [False] * PLRU_BITS} for _ in range(nsets)]
@@ -270,7 +249,7 @@ def oracle_run(records, config):
 
     # Main loop.
     for seq, (kind, addr, size) in enumerate(columns):
-        _validate(addr, size, seq, cfg)
+        _validate(addr, size, seq, block, host_space)
         arrival_ns = clock   # DMA progress snapshots use the arrival time
         if kind == "R":
             n_reads += 1
@@ -416,17 +395,15 @@ def oracle_run(records, config):
     return report, _digest(content, touched, block)
 
 
-def _validate(addr, size, seq, cfg):
+def _validate(addr, size, seq, block, host_space):
     # Packing into a `Trace` has already checked the kind.
-    if size <= 0 or size > cfg.block_size_bytes:
+    if size <= 0 or size > block:
         raise TraceError(f"request {seq}: bad size {size}")
-    first = addr // cfg.block_size_bytes
-    last = (addr + size - 1) // cfg.block_size_bytes
-    if first != last:
+    if addr // block != (addr + size - 1) // block:
         raise TraceError(f"request {seq}: crosses a block boundary")
-    if addr < 0 or addr + size > cfg.host_space_bytes:
+    if addr < 0 or addr + size > host_space:
         raise TraceError(f"request {seq}: address {addr:#x} "
-                         f"beyond configured capacity ({cfg.host_space_bytes:#x})")
+                         f"beyond configured capacity ({host_space:#x})")
 
 
 def _digest(content, touched, block):

@@ -57,6 +57,19 @@ class TestRun:
         assert rows[0]["policy"] == "pagemove"
         assert int(rows[0]["requests"]) == 500
 
+    def test_alldram_background_power_covers_both_capacities(self, tmp_path):
+        out = tmp_path / "r.json"
+        rc = run_cli("run", *BASE, "--gen", "sequential", "--pages", "32",
+                     "--requests", "500", "--policy", "alldram,pagemove",
+                     "--out", str(out))
+        assert rc == 0
+        rep = json.loads(out.read_text())["reports"][0]
+        assert rep["policy"] == "alldram"
+        assert rep["slow_capacity_bytes"] == 0
+        gib = (256 + 1024) * 1024 / 1024 ** 3
+        assert rep["energy_fast_background_nj"] == (
+            30.0 * gib * rep["elapsed_ns"] * 1e-3)
+
     def test_infeasible_alldram_is_explicit_error(self, tmp_path, tmp_trace):
         # footprint beyond the total capacity fails loudly for alldram
         trace = tmp_trace([f"R {hex(i * 4096)}" for i in range(80)])
@@ -317,6 +330,32 @@ class TestMetacost:
         rc = run_cli("metacost", "--space", "2GiB", "--page", "5000")
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["metacost", "--space", "2GiB", "--block", "0"], "block"),
+    (["metacost", "--space", "2GiB", "--block", "3"], "block"),
+    (["metacost", "--page", "4KiB", "--block", "8KiB"], "block"),
+    (["metacost", "--space", "2GiB", "--sets", "-4"], "sets"),
+    (["metacost", "--space", "2GiB", "--sets", "3"], "sets"),
+    (["metacost", "--space", "0", "--page", "4KiB"], "space"),
+    (["gen", "--gen", "zipfian", "--pages", "0", "--requests", "3"],
+     "footprint"),
+    (["run", *BASE, "--gen", "zipfian", "--pages", "-2", "--requests", "3"],
+     "footprint"),
+], ids=["block-0", "block-3", "block-past-page", "sets-negative",
+        "sets-3", "space-0", "gen-pages-0", "run-pages-negative"])
+def test_bad_geometry_argument_exits_1(argv, named, tmp_path, capsys):
+    """A bad metacost geometry or generator footprint is a user error: one
+    `error:` line, and no output and no traceback."""
+    out = tmp_path / "out.trc"
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(out)]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {named}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 each_flag = pytest.mark.parametrize(

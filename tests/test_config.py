@@ -1,5 +1,6 @@
 import pytest
 
+from tiersim.cli import config_for_policy
 from tiersim.config import (ConfigError, Policy, SimConfig,
                             config_from_mapping, load_config_file, parse_size)
 from tiersim.pagetable import COUNTER_MAX
@@ -133,12 +134,17 @@ class TestGeometry:
         assert plain.host_space_bytes - cached.host_space_bytes == 64 * 1024
         assert cached.cache_sets == 128
 
-    def test_alldram_geometry_spans_everything(self):
-        cfg = SimConfig(policy=Policy.ALLDRAM, fast_capacity_bytes=1024 ** 2,
-                        slow_capacity_bytes=1024 ** 2)
-        assert cfg.total_pages == 512
-        assert cfg.fast_pages == 512
-        assert cfg.slow_pages == 0
+    def test_every_policy_view_validates(self):
+        base = SimConfig(policy=Policy.STATCOMB, fast_capacity_bytes=1024 ** 2,
+                         slow_capacity_bytes=1024 ** 2,
+                         cache_zone_bytes=64 * 1024, bloom_window=16)
+        for policy in Policy:
+            cfg = config_for_policy(base, policy)
+            assert cfg.validate() is cfg and cfg.policy is policy
+        alldram = config_for_policy(base, Policy.ALLDRAM)
+        assert alldram.fast_capacity_bytes == 2 * 1024 ** 2
+        assert alldram.total_pages == alldram.fast_pages == 512
+        assert alldram.slow_pages == 0
 
     def test_validate_returns_self(self):
         cfg = SimConfig(policy=Policy.PAGEMOVE, fast_capacity_bytes=256 * 1024,
@@ -162,6 +168,16 @@ class TestValidation:
         for value in values:
             with pytest.raises(ConfigError, match=field):
                 SimConfig(**{field: value}).validate()
+
+    def test_alldram_refuses_a_slow_tier(self):
+        mapping = {"policy": "alldram", "fast_capacity_bytes": "1MiB",
+                   "slow_capacity_bytes": "1MiB"}
+        direct = SimConfig(policy=Policy.ALLDRAM, fast_capacity_bytes=1024 ** 2,
+                           slow_capacity_bytes=1024 ** 2)
+        for cfg in (direct, config_from_mapping(mapping)):
+            with pytest.raises(ConfigError, match="^slow_capacity_bytes: "):
+                cfg.validate()
+        config_from_mapping({**mapping, "slow_capacity_bytes": "0"}).validate()
 
     def test_watermarks_must_be_ordered(self):
         with pytest.raises(ConfigError, match="adaptive_lo_water"):

@@ -450,38 +450,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bloom"):
             small_config(Policy.PAGEMOVE, bloom_window=64).validate()
 
-    # (kind, host page) requests; each touches block 7p mod 32 of its page.
-    # The guard counts pages that hold content, read or written: the
-    # request that fires it is pinned for each trace.
-    GUARD_TRACES = {
-        "reads": ([("R", p) for p in (0, 1, 0, 2, 1, 3, 3, 4, 0, 5, 6, 2, 7,
-                                      1, 8, 9)], 14),
-        "writes": ([("W", p) for p in (15, 14, 15, 13, 12, 11, 14, 10, 9, 9,
-                                       8, 7, 6)], 11),
-        # Reads of never-written pages count as much as writes.
-        "mixed": ([("W", 0), ("R", 1), ("W", 1), ("R", 0), ("R", 2),
-                   ("W", 3), ("R", 3), ("R", 4), ("W", 5), ("R", 6),
-                   ("R", 5), ("W", 7), ("W", 2), ("R", 8), ("W", 9)], 13),
-    }
-
-    def test_alldram_footprint_guard(self):
-        from tiersim import SimulationError
-        cfg = small_config(Policy.ALLDRAM, fast_capacity_bytes=8 * 4096,
-                           slow_capacity_bytes=8 * 4096)
-        sim = Simulator(cfg)
-        with pytest.raises(SimulationError):
-            for page in range(16):
-                sim.dispatch(MemoryRequest("R", page * 4096, 64, page))
-        for name, (trace, fires_at) in self.GUARD_TRACES.items():
-            sim = Simulator(cfg)
-            served = []
-            with pytest.raises(SimulationError, match="more than 8 pages"):
-                for seq, (kind, page) in enumerate(trace):
-                    addr = page * 4096 + (7 * page % 32) * 128
-                    sim.dispatch(MemoryRequest(kind, addr, 64, seq))
-                    served.append(seq)
-            assert len(served) == fires_at, name
-
 
 def three_blocks_line():
     # 3 sets worth of capacity: 3 * 128 * 4 (not a power-of-two set count)
