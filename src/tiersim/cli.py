@@ -61,7 +61,8 @@ def _add_workload_flags(p):
     p.add_argument("--pages", type=int, help="workload footprint in pages")
     p.add_argument("--write-fraction", type=float, default=0.3)
     p.add_argument("--req-size", type=int, default=64)
-    p.add_argument("--stride", help="stride for the strided generator")
+    p.add_argument("--stride", help="stride for the strided generator: a "
+                   "positive multiple of --req-size (default: the page size)")
     p.add_argument("--zipf-s", type=float, default=1.0)
     p.add_argument("--gen-seed", type=int, default=0)
 
@@ -128,6 +129,15 @@ def config_for_policy(base: SimConfig, policy: Policy) -> SimConfig:
     return dataclasses.replace(base, **changes)
 
 
+def _flag_size(flag, text) -> int:
+    """The byte size `text`; one that does not parse is an error naming
+    `flag`."""
+    try:
+        return parse_size(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def workload_records(args, base: SimConfig, end: int = 1 << 64):
     """The command's trace, read with `end` as its end bound, or its
     generated workload."""
@@ -138,7 +148,7 @@ def workload_records(args, base: SimConfig, end: int = 1 << 64):
     if not args.gen:
         raise TraceError("need --trace or --gen")
     if args.footprint:
-        footprint = parse_size(args.footprint)
+        footprint = _flag_size("footprint", args.footprint)
     elif args.pages is not None:
         footprint = args.pages * base.page_size_bytes
     else:
@@ -154,7 +164,8 @@ def workload_records(args, base: SimConfig, end: int = 1 << 64):
         write_fraction=args.write_fraction,
         request_bytes=args.req_size,
         page_bytes=base.page_size_bytes,
-        stride_bytes=parse_size(args.stride) if args.stride else base.page_size_bytes,
+        stride_bytes=(_flag_size("stride", args.stride) if args.stride
+                      else base.page_size_bytes),
         zipf_s=args.zipf_s,
         seed=args.gen_seed,
     )
@@ -284,10 +295,10 @@ def _human(nbytes: float) -> str:
 
 
 def cmd_metacost(args) -> int:
-    page = parse_size(args.page)
-    space = None if args.space is None else parse_size(args.space)
+    page = _flag_size("page", args.page)
+    space = None if args.space is None else _flag_size("space", args.space)
     report = metadata_cost(page if space is None else space, page, args.sets,
-                           parse_size(args.block))
+                           _flag_size("block", args.block))
     if space is not None:
         print(f"page table: {report.bits_per_page_entry} bits/entry "
               f"({report.page_entry_bytes} bytes), {report.page_entries} entries, "

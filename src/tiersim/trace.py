@@ -8,8 +8,10 @@ import gzip
 import io
 import random
 import re
+import sys
 import zlib
 from array import array
+from binascii import unhexlify
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, repeat
@@ -28,8 +30,10 @@ WORKLOAD_KINDS = ("sequential", "strided", "zipfian", "sparse-wide",
 # lines (sizes positive, the last line's newline optional) that
 # `load_trace` parses in bulk.
 _format_line = "{} {:#x} {}".format
-_CANONICAL = re.compile(rb"(?:[RW] 0x[0-9a-f]+ [1-9][0-9]*\n)*"
-                        rb"(?:[RW] 0x[0-9a-f]+ [1-9][0-9]*)?")
+# Its quantifiers are possessive: no token can give back a byte to the
+# next, so they match what greedy ones would, without backtracking.
+_CANONICAL = re.compile(rb"(?:[RW] 0x[0-9a-f]++ [1-9][0-9]*+\n)*+"
+                        rb"(?:[RW] 0x[0-9a-f]++ [1-9][0-9]*+)?+")
 # Bytes per chunk `load_trace` reads, and records per chunk `write_trace`
 # writes. A chunk's tokens are resident while it is parsed, so a larger
 # chunk raises the peak RSS of a process holding a small trace.
@@ -58,6 +62,9 @@ _ADDR_END = 1 << 64
 _SIZE_BITS = 8 * array("I").itemsize
 _SIZE_END = 1 << _SIZE_BITS
 _KIND_CODES = {"R": ord("R"), "W": ord("W")}
+# For each block size that divides 256, each byte's remainder modulo it.
+_LOW_BYTE_OFFSETS = {1 << k: bytes(i % (1 << k) for i in range(256))
+                     for k in range(9)}
 
 
 class Trace:
@@ -174,19 +181,47 @@ def _extend_canonical(trace, lines, block_bytes, end) -> bool:
     `Trace.append` splits it. Return False, leaving `trace` as it was, when
     a value does not fit its column or a request ends beyond `end`; the
     line parser then takes the lines, and its error names the line."""
-    tokens = lines.split()
+    # Cutting each "0x" to "0" leaves every address a plain hex token.
+    tokens = lines.translate(None, b"x").split()
+    digits, size_tokens = tokens[1::3], tokens[2::3]
+    count = len(digits)
+    # Addresses below 2**60 fit in 16 digits once left-padded, and decode
+    # in one pass into big-endian words; a wider token is parsed by int().
+    padded = b"".join(map(bytes.rjust, digits, repeat(16), repeat(b"0")))
+    words = unhexlify(padded) if len(padded) == 16 * count else None
     try:
-        addrs = array("Q", map(int, tokens[1::3], repeat(16)))
-        sizes = array("I", map(int, tokens[2::3]))
-    except OverflowError:
+        if words is None:
+            addrs = array("Q", map(int, digits, repeat(16)))
+        else:
+            addrs = array("Q")
+            addrs.frombytes(words)
+            if sys.byteorder == "little":
+                addrs.byteswap()
+        if size_tokens.count(size_tokens[0]) == count:
+            max_size = int(size_tokens[0])
+            sizes = array("I", [max_size]) * count
+        else:
+            sizes = array("I", map(int, size_tokens))
+            max_size = max(sizes)
+    except (OverflowError, ValueError):   # ValueError: a size of 4301+ digits
         return False
-    # The largest address plus the largest size bounds every request's end,
-    # so each request's own end is summed only when that bound is crossed.
+    # An address below 2**60 plus a size below 2**32 ends below 2**64.
+    # Otherwise the largest address plus the largest size bounds every
+    # request's end, so each request's own end is summed only when that
+    # bound is crossed.
     end = min(end, _ADDR_END)
-    if max(addrs) + max(sizes) > end and max(map(add, addrs, sizes)) > end:
+    if ((words is None or end < _ADDR_END) and max(addrs) + max_size > end
+            and max(map(add, addrs, sizes)) > end):
         return False
+    # In a block that divides 256, an address's offset is its low byte's.
+    # No request crosses a block when the largest offset plus the largest
+    # size fits one; otherwise each request's own end is checked.
+    offsets = None if words is None else _LOW_BYTE_OFFSETS.get(block_bytes)
     kinds = b"".join(tokens[0::3])
-    if max(map(add, map(mod, addrs, repeat(block_bytes)), sizes)) > block_bytes:
+    if ((offsets is None
+         or max(words[7::8].translate(offsets)) + max_size > block_bytes)
+            and max(map(add, map(mod, addrs, repeat(block_bytes)), sizes))
+            > block_bytes):
         for kind, addr, size in zip(kinds.decode("ascii"), addrs, sizes):
             trace.append(kind, addr, size, block_bytes)
         return True
@@ -290,6 +325,10 @@ class WorkloadSpec:
             raise TraceError("request count must be positive")
         if self.request_bytes <= 0 or self.page_bytes % self.request_bytes:
             raise TraceError("page size must be a multiple of the request size")
+        if self.kind == "strided" and (self.stride_bytes <= 0 or
+                                       self.stride_bytes % self.request_bytes):
+            raise TraceError(f"stride {self.stride_bytes} is not a positive "
+                             f"multiple of the request size {self.request_bytes}")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise TraceError("write fraction must be in [0, 1]")
         return self
@@ -317,14 +356,12 @@ def generate(spec: WorkloadSpec, block_bytes: int = _ADDR_END) -> Trace:
             add(_kind_for(rng, wf), addr, spec.request_bytes)
 
     elif spec.kind == "strided":
-        stride = max(spec.request_bytes, spec.stride_bytes)
-        stride -= stride % spec.request_bytes
         pos = 0
         for i in range(spec.request_count):
             addr = pos % spec.footprint_bytes
             addr -= addr % spec.request_bytes
             add(_kind_for(rng, spec.write_fraction), addr, spec.request_bytes)
-            pos += stride
+            pos += spec.stride_bytes
 
     elif spec.kind == "zipfian":
         # Rank pages by a power law, then scatter the ranks across the

@@ -341,13 +341,29 @@ class TestMetacost:
     (["metacost", "--space", "0", "--page", "4KiB"], "space"),
     (["gen", "--gen", "zipfian", "--pages", "0", "--requests", "3"],
      "footprint"),
+    (["metacost", "--space", "2GiB", "--block", "x"],
+     "block: not a byte size: 'x'"),
+    (["metacost", "--space", "2GiB", "--page", "x"],
+     "page: not a byte size: 'x'"),
+    (["metacost", "--space", "x"], "space: not a byte size: 'x'"),
     (["run", *BASE, "--gen", "zipfian", "--pages", "-2", "--requests", "3"],
      "footprint"),
+    (["gen", "--gen", "strided", "--pages", "4", "--stride", "0",
+      "--requests", "3"], "stride 0 "),
+    (["gen", "--gen", "strided", "--pages", "4", "--stride", "100",
+      "--requests", "3"], "stride 100 "),
+    (["gen", "--gen", "strided", "--pages", "4", "--stride", "x",
+      "--requests", "3"], "stride: not a byte size: 'x'"),
+    (["gen", "--gen", "zipfian", "--footprint", "x", "--requests", "3"],
+     "footprint: not a byte size: 'x'"),
 ], ids=["block-0", "block-3", "block-past-page", "sets-negative",
-        "sets-3", "space-0", "gen-pages-0", "run-pages-negative"])
+        "sets-3", "space-0", "gen-pages-0", "block-not-a-size",
+        "page-not-a-size", "space-not-a-size", "run-pages-negative",
+        "stride-0", "stride-not-a-multiple", "stride-not-a-size",
+        "footprint-not-a-size"])
 def test_bad_geometry_argument_exits_1(argv, named, tmp_path, capsys):
-    """A bad metacost geometry or generator footprint is a user error: one
-    `error:` line, and no output and no traceback."""
+    """A bad metacost geometry, generator footprint or stride is a user
+    error: one `error:` line, and no output and no traceback."""
     out = tmp_path / "out.trc"
     if argv[0] == "gen":
         argv = [*argv, "--out", str(out)]

@@ -219,6 +219,16 @@ _EDGE_LINE = st.builds(
     st.one_of(st.integers(0, 1 << 20),
               st.integers((1 << 64) - 64, (1 << 64) + 4)),
     st.one_of(st.integers(1, 300), st.sampled_from([0, 1 << 32])))
+# Canonical lines whose addresses have 1 to 16 significant hex digits, some
+# within 2**32 of 2**64: those below 2**60 load by the fixed-width decode,
+# wider ones by int(); sizes are often shared, so a chunk's sizes are often
+# uniform.
+_WIDE_ADDRESS = st.one_of(
+    st.integers(1, 16).flatmap(lambda digits: st.integers(0, 16 ** digits - 1)),
+    st.integers((1 << 64) - (1 << 32), (1 << 64) - 1))
+_WIDE_LINE = st.builds(_FORMAT, st.sampled_from("RW"), _WIDE_ADDRESS,
+                       st.one_of(st.sampled_from([1, 64]),
+                                 st.integers(1, 300)))
 _OTHER_LINE = st.one_of(
     st.sampled_from(["", "   ", "# header", "# café ☃ comment",
                      "R 0x40 64  # trailing", "X 0x0 64", "R zzz 64",
@@ -232,17 +242,18 @@ _OTHER_LINE = st.one_of(
 
 @st.composite
 def _trace_text(draw):
-    """Valid canonical lines, canonical lines with edge cases among them, or
-    a mix of every kind of line with LF, CRLF or bare CR endings; the last
-    line end is perhaps left off."""
-    style = draw(st.sampled_from(["valid", "edge", "mixed"]))
+    """Valid canonical lines, canonical lines with edge cases or wide
+    addresses among them, or a mix of every kind of line with LF, CRLF or
+    bare CR endings; the last line end is perhaps left off."""
+    style = draw(st.sampled_from(["valid", "edge", "wide", "mixed"]))
     if style == "mixed":
-        line = st.one_of(_VALID_LINE, _EDGE_LINE, _OTHER_LINE)
+        line = st.one_of(_VALID_LINE, _EDGE_LINE, _WIDE_LINE, _OTHER_LINE)
         lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])),
                               max_size=24))
     else:
-        line = _VALID_LINE if style == "valid" else st.one_of(
-            _VALID_LINE, _VALID_LINE, _EDGE_LINE)
+        line = {"valid": _VALID_LINE,
+                "edge": st.one_of(_VALID_LINE, _VALID_LINE, _EDGE_LINE),
+                "wide": st.one_of(_VALID_LINE, _WIDE_LINE)}[style]
         lines = [(text, "\n") for text in draw(st.lists(line, max_size=24))]
     text = "".join(line + end for line, end in lines)
     if lines and draw(st.booleans()):
@@ -266,8 +277,16 @@ class TestBulkLoad:
     @example(text="R 0x40 64\rW 0x80 8\r\nR 0x0 1\r\rW 0x0 0\r", block=128,
              chunk_bytes=16)
     @example(text="W 0x0 8\nR 0x40 64 5\n", block=128, chunk_bytes=256)
+    # A request at the last byte of a block crosses it; offset 100 plus the
+    # largest size passes the block, yet no request crosses.
+    @example(text="W 0x7f 2\n", block=128, chunk_bytes=256)
+    @example(text="W 0x3f 2\nR 0x40 2\n", block=64, chunk_bytes=256)
+    @example(text="R 0x64 8\nW 0x0 64\n", block=128, chunk_bytes=256)
+    # int() refuses a decimal of more than 4300 digits.
+    @example(text="R 0x0 64\nW 0x0 " + "1" * 4301 + "\n", block=128,
+             chunk_bytes=256)
     @given(text=_trace_text(),
-           block=st.sampled_from([0, 1, 3, 100, 128, 128, 4096, 4096]),
+           block=st.sampled_from([0, 1, 3, 64, 100, 128, 128, 4096, 4096]),
            chunk_bytes=st.sampled_from([1, 16, 40, 96, 256]))
     def test_load_matches_the_line_parser(self, text, block, chunk_bytes):
         # The reference reads the text with universal newlines, as a file
@@ -302,6 +321,21 @@ class TestBulkLoad:
         with mock.patch.object(trace_module, "_CHUNK_BYTES", 1000), \
                 mock.patch.object(trace_module, "_parse_lines",
                                   side_effect=AssertionError("line parser")):
+            assert load_trace(path, block) == want
+
+    @pytest.mark.parametrize("block", [128, 64, 100])
+    def test_mixed_sizes_and_wide_addresses_load_in_bulk(self, tmp_path, block):
+        # Addresses of 2**60 and up are parsed by int(), and sizes that
+        # differ are parsed one by one; some requests cross a block.
+        lines = ["R 0xf000000000000000 64", "W 0x40 8",
+                 "R 0xffffffffffffff00 256", "W 0x1000000000000000 100",
+                 "R 0xfffffffffffffff0 16", "W 0x3 4096"]
+        path = tmp_path / "t.trc"
+        write_lines(path, lines)
+        want = parse_lines(*lines, block=block)
+        assert len(want) > len(lines)
+        with mock.patch.object(trace_module, "_parse_lines",
+                               side_effect=AssertionError("line parser")):
             assert load_trace(path, block) == want
 
     @pytest.mark.parametrize("data", [
@@ -359,6 +393,24 @@ class TestEndBound:
         with mock.patch.object(trace_module, "_parse_lines",
                                side_effect=AssertionError("line parser")):
             assert load_trace(path, 128, end=1 << 20) == want
+
+    @pytest.mark.parametrize("lines,line,last", [
+        (["R 0x1000 64", "W 0x2000 4096", "R 0x40 8"], 2, 0x3000),
+        (["W 0x40 8", "R 0xf000000000000000 64"], 2, 0xF000000000000040),
+    ], ids=["fixed-width", "wide"])
+    def test_a_bound_at_the_largest_end_loads_and_one_below_fails(
+            self, tmp_path, lines, line, last):
+        # Line `line` ends at `last`, the largest end in the file.
+        path = tmp_path / "t.trc"
+        write_lines(path, lines)
+        want = parse_lines(*lines, block=128)
+        with mock.patch.object(trace_module, "_parse_lines",
+                               side_effect=AssertionError("line parser")):
+            assert load_trace(path, 128, end=last) == want
+        with pytest.raises(TraceBoundError) as info:
+            load_trace(path, 128, end=last - 1)
+        assert str(info.value) == (f"line {line}: {lines[line - 1]} ends "
+                                   f"beyond {last - 1:#x}")
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(text=_trace_text(), block=st.sampled_from([1, 128, 4096]),
@@ -458,3 +510,12 @@ class TestGenerate:
         with pytest.raises(TraceError):
             generate(WorkloadSpec(kind="sequential", footprint_bytes=100,
                                   request_count=1))
+        # A strided stride is a positive multiple of the request size.
+        for stride in (0, -4096, 100):
+            with pytest.raises(TraceError, match=f"^stride {stride} is not"):
+                generate(WorkloadSpec(kind="strided", footprint_bytes=4 * 4096,
+                                      request_count=3, stride_bytes=stride))
+        # Other kinds ignore the stride.
+        assert len(generate(WorkloadSpec(kind="sequential",
+                                         footprint_bytes=4096,
+                                         request_count=3, stride_bytes=0))) == 3
