@@ -154,9 +154,8 @@ def workload_records(args, base: SimConfig, end: int = 1 << 64):
     else:
         footprint = min(base.host_space_bytes, 64 * 1024 * 1024)
     if footprint > base.host_space_bytes:
-        raise TraceError(
-            f"workload footprint {footprint} exceeds host space "
-            f"{base.host_space_bytes}")
+        raise TraceError(f"footprint: {footprint} exceeds the host space "
+                         f"{base.host_space_bytes}")
     spec = WorkloadSpec(
         kind=args.gen,
         footprint_bytes=footprint,

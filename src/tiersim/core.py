@@ -22,7 +22,7 @@ it reads is bound to locals once per batch. Each request is then:
 
 Content is one slot per written block in 64 KiB arenas, indexed per touched
 internal page; slot 0 is the shared zero block. Swaps move slot references
-lazily, never bytes. README describes the model in full.
+as the engine advances, never bytes. README describes the model in full.
 """
 
 from __future__ import annotations
@@ -162,10 +162,10 @@ class Simulator:
         return self.arenas[ref >> self.arena_shift][lo:lo + self.block_bytes]
 
     def _exchange_chunks(self, first: int, stop: int):
-        """Swap chunks [first, stop) of the in-flight pair in one exchange.
-        A chunk is one block, so this swaps slot references, not bytes. The
-        whole page trades the two indexes, so a page without an index stays
-        without one and keeps reading as zeros."""
+        """Land chunks [first, stop) of the in-flight pair, just copied by
+        an engine advance. A chunk is one block: this swaps slot references,
+        not bytes. A swap landed by one advance trades the two indexes, so a
+        page without an index stays without one and keeps reading as zeros."""
         job = self.engine.job
         if first == 0 and stop == self.blocks_per_page:
             mem = self.mem

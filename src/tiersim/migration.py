@@ -1,8 +1,7 @@
 """Background DMA model: full-page swaps between tiers with chunk-granular
 progress, plus the locator for requests that hit a page while it is in
 flight. Progress is a pure function of time, so it is counted only where
-it is read; chunk content lands only when a pair page is located or the swap
-completes."""
+it is read, and the chunks it counts land in the content model there too."""
 
 from __future__ import annotations
 
@@ -17,15 +16,8 @@ class SwapJob:
     dst_host: int          # host page being demoted
     dst_internal: int      # its fast-tier internal page
     start_ns: int
-    page_bytes: int
-    chunk_bytes: int
     due_ns: int                 # never after the first ns it completes
-    applied_chunks: int = 0     # chunks copied by the timing model
-    exchanged_chunks: int = 0   # of those, chunks moved in the content model
-
-    @property
-    def total_chunks(self) -> int:
-        return self.page_bytes // self.chunk_bytes
+    applied_chunks: int = 0     # chunks copied, in timing and content alike
 
 
 class DmaEngine:
@@ -38,12 +30,10 @@ class DmaEngine:
     only before reading progress (a request to a page of the pair, a write
     stall, a victim write-back) and once the clock reaches the job's
     `due_ns`, so completion fires on the same request as it would if every
-    request advanced the engine. Advancing the engine only moves the timing
-    model's progress. The copied chunks land in the content model later, in
-    one exchange: when `locate` is about to return a page of the in-flight
-    pair, or when the swap completes. `locate` is the only way to reach the
-    pair's buffers while the swap is in flight, so no stale byte is ever
-    read, and a swap whose pair nobody touches lands as one whole-page
+    request advanced the engine. Each advance moves the content of the
+    chunks it counts in the same step, through one `exchange` call, so the
+    content model always matches `applied_chunks` and `locate` only reads.
+    A swap whose first advance completes it lands as one whole-page
     exchange.
     """
 
@@ -51,10 +41,11 @@ class DmaEngine:
                  on_complete, exchange):
         self.page_bytes = page_bytes
         self.chunk_bytes = chunk_bytes
+        self.total_chunks = page_bytes // chunk_bytes
         self.bandwidth = bandwidth
         self.on_complete = on_complete   # called with the finished SwapJob
         # Called with (first, stop) to swap chunks [first, stop) of content
-        # between the two pages of the in-flight job; see `_land` for when.
+        # between the two pages of the in-flight job, as they are copied.
         self.exchange = exchange
         self.job = None
         self.completed_swaps = 0
@@ -75,41 +66,32 @@ class DmaEngine:
         # ns less is a margin, and checking early costs one extra call.
         due_ns = now_ns + math.floor(self.duration_ns()) - 1
         self.job = SwapJob(src_host, src_internal, dst_host, dst_internal,
-                           now_ns, self.page_bytes, self.chunk_bytes, due_ns)
+                           now_ns, due_ns)
         return self.job
 
     def chunks_done(self, now_ns: int) -> int:
         """Chunks the in-flight swap has copied by `now_ns`, `total_chunks`
         once it is complete. Moves no progress."""
-        job = self.job
         # Each direction has moved half of the bytes the engine carried.
-        moved = (now_ns - job.start_ns) * self.bandwidth / 2
+        moved = (now_ns - self.job.start_ns) * self.bandwidth / 2
         if moved < self.page_bytes:
             return int(moved // self.chunk_bytes)
-        return job.total_chunks
+        return self.total_chunks
 
     def advance_to(self, now_ns: int):
-        """Count chunk copies up to `now_ns`; on completion, land the rest
-        and fire completion."""
+        """Copy the chunks done by `now_ns`: exchange their content, then,
+        on completion, fire it."""
         job = self.job
         if job is None:
             return
         done = self.chunks_done(now_ns)
-        if done < job.total_chunks:
-            if done > job.applied_chunks:
-                job.applied_chunks = done
-        else:
+        if done > job.applied_chunks:
+            self.exchange(job.applied_chunks, done)
             job.applied_chunks = done
-            self._land(job)
-            self.job = None
-            self.completed_swaps += 1
-            self.on_complete(job)
-
-    def _land(self, job: SwapJob):
-        """Move the content of the chunks copied since the last landing."""
-        if job.exchanged_chunks != job.applied_chunks:
-            self.exchange(job.exchanged_chunks, job.applied_chunks)
-            job.exchanged_chunks = job.applied_chunks
+            if done == self.total_chunks:
+                self.job = None
+                self.completed_swaps += 1
+                self.on_complete(job)
 
     def completion_ns(self) -> int:
         assert self.job is not None
@@ -125,7 +107,7 @@ class DmaEngine:
 
     def locate(self, host_page: int, offset_in_page: int):
         """Internal page holding this byte of `host_page`, or None when the
-        page is not in flight."""
+        page is not in flight. Only reads."""
         job = self.job
         if job is None:
             return None
@@ -135,7 +117,6 @@ class DmaEngine:
             old, new = job.dst_internal, job.src_internal
         else:
             return None
-        self._land(job)
         copied = offset_in_page // self.chunk_bytes < job.applied_chunks
         return new if copied else old
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import bisect
 import gzip
 import io
+import math
 import random
 import re
 import sys
@@ -317,20 +318,24 @@ class WorkloadSpec:
     seed: int = 0
 
     def validate(self):
+        # Each error begins with the `tiersim` flag that sets the field.
         if self.kind not in WORKLOAD_KINDS:
-            raise TraceError(f"unknown workload kind {self.kind!r}")
+            raise TraceError(f"gen: unknown workload kind {self.kind!r}")
         if self.footprint_bytes < self.page_bytes:
-            raise TraceError("footprint smaller than one page")
+            raise TraceError("footprint: smaller than one page")
         if self.request_count <= 0:
-            raise TraceError("request count must be positive")
+            raise TraceError(f"requests: {self.request_count} is not positive")
         if self.request_bytes <= 0 or self.page_bytes % self.request_bytes:
-            raise TraceError("page size must be a multiple of the request size")
+            raise TraceError(f"req-size: {self.request_bytes} is not a positive "
+                             f"divisor of the page size {self.page_bytes}")
         if self.kind == "strided" and (self.stride_bytes <= 0 or
                                        self.stride_bytes % self.request_bytes):
             raise TraceError(f"stride {self.stride_bytes} is not a positive "
                              f"multiple of the request size {self.request_bytes}")
         if not 0.0 <= self.write_fraction <= 1.0:
-            raise TraceError("write fraction must be in [0, 1]")
+            raise TraceError("write-fraction: must be in [0, 1]")
+        if not math.isfinite(self.zipf_s):
+            raise TraceError(f"zipf-s: {self.zipf_s} is not finite")
         return self
 
 

@@ -356,14 +356,37 @@ class TestMetacost:
       "--requests", "3"], "stride: not a byte size: 'x'"),
     (["gen", "--gen", "zipfian", "--footprint", "x", "--requests", "3"],
      "footprint: not a byte size: 'x'"),
+    (["gen", "--gen", "zipfian", "--zipf-s", "nan", "--pages", "4",
+      "--requests", "3"], "zipf-s: nan is not finite"),
+    (["gen", "--gen", "zipfian", "--zipf-s", "inf", "--pages", "4",
+      "--requests", "3"], "zipf-s: inf is not finite"),
+    (["run", *BASE, "--gen", "zipfian", "--zipf-s=-inf", "--pages", "4",
+      "--requests", "3"], "zipf-s: -inf is not finite"),
+    (["gen", "--gen", "zipfian", "--req-size", "0", "--pages", "4",
+      "--requests", "3"], "req-size: 0 is not a positive divisor"),
+    (["gen", "--gen", "zipfian", "--req-size", "-64", "--pages", "4",
+      "--requests", "3"], "req-size: -64 is not a positive divisor"),
+    (["gen", "--gen", "zipfian", "--req-size", "96", "--pages", "4",
+      "--requests", "3"], "req-size: 96 is not a positive divisor"),
+    (["gen", "--gen", "zipfian", "--pages", "4", "--requests", "0"],
+     "requests: 0 is not positive"),
+    (["run", *BASE, "--gen", "zipfian", "--pages", "4", "--requests", "-5"],
+     "requests: -5 is not positive"),
+    (["gen", "--gen", "zipfian", "--pages", "4", "--requests", "3",
+      "--write-fraction", "1.5"], "write-fraction: "),
+    (["run", *BASE, "--gen", "zipfian", "--pages", "1000000",
+      "--requests", "3"], "footprint: "),
 ], ids=["block-0", "block-3", "block-past-page", "sets-negative",
         "sets-3", "space-0", "gen-pages-0", "block-not-a-size",
         "page-not-a-size", "space-not-a-size", "run-pages-negative",
         "stride-0", "stride-not-a-multiple", "stride-not-a-size",
-        "footprint-not-a-size"])
+        "footprint-not-a-size", "zipf-s-nan", "zipf-s-inf",
+        "run-zipf-s-minus-inf", "req-size-0", "req-size-negative",
+        "req-size-not-a-divisor", "requests-0", "run-requests-negative",
+        "write-fraction-above-1", "run-footprint-beyond-host-space"])
 def test_bad_geometry_argument_exits_1(argv, named, tmp_path, capsys):
-    """A bad metacost geometry, generator footprint or stride is a user
-    error: one `error:` line, and no output and no traceback."""
+    """A bad metacost geometry or workload argument is a user error: one
+    `error:` line that names the flag, and no output and no traceback."""
     out = tmp_path / "out.trc"
     if argv[0] == "gen":
         argv = [*argv, "--out", str(out)]

@@ -303,13 +303,14 @@ class TestContentMemory:
         job = sim.engine.job
         assert job is not None and sim.next_slot == 2 * 128
         seq = 1
-        # Unrelated traffic until 8 chunks are copied: no landing yet.
+        # Unrelated traffic until 8 chunks are copied: the engine is not
+        # advanced, so nothing has landed yet.
         while sim.engine.chunks_done(sim.ledger.total_foreground_ns) < 8:
             sim.dispatch(MemoryRequest("R", 7 * 4096, 64, seq))
             seq += 1
-        assert job.exchanged_chunks == 0
+        assert job.applied_chunks == 0
         out = sim.dispatch(MemoryRequest("R", base + 128, 64, seq))
-        assert 0 < job.exchanged_chunks < job.total_chunks
+        assert 0 < job.applied_chunks < sim.engine.total_chunks
         assert out.data == payload(0, 64)
         assert sim.next_slot == 2 * 128 and len(sim.arenas) == 1
 
@@ -349,7 +350,7 @@ class TestBlockContent:
             seq = self.play(sim, shadow, [("R", 3 * 4096, 8)], seq)
         # A write into a copied chunk lands the first part of the swap.
         seq = self.play(sim, shadow, [("W", base + 5 * 128 + 120, 8)], seq)
-        assert 0 < job.exchanged_chunks < job.total_chunks
+        assert 0 < job.applied_chunks < sim.engine.total_chunks
         assert sim.cache.peek(page * 32 + 2) is not None
         line = sim.cache.line_of(page * 32 + 2, sim.cache.peek(page * 32 + 2))
         assert sim.cache.dirty[line]

@@ -56,51 +56,52 @@ class TestEngine:
             assert done_a[0].applied_chunks == done_b[0].applied_chunks
 
     def test_chunk_exchange_sequence(self):
-        # Chunks land in the content model lazily: when a page of the pair
-        # is located, or when the swap completes.
+        # Each advance lands the chunks it copies; locating lands nothing.
         seen = []
         eng, done = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
         eng.on_complete = lambda job: done.append(list(seen))
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         eng.advance_to(100)   # 100*8/2 = 400B -> 3 chunks copied
+        assert seen == [(0, 3)]
         eng.advance_to(200)   # 800B -> 6 chunks copied
         assert eng.job.applied_chunks == 6
-        assert seen == []     # the pair is untouched: nothing lands yet
+        assert seen == [(0, 3), (3, 6)]
+        eng.advance_to(200)   # no new chunk: nothing lands
+        assert seen == [(0, 3), (3, 6)]
         assert eng.locate(5, 0) is None
-        assert seen == []     # an unrelated page lands nothing
         assert eng.locate(7, 0) == 2
-        assert seen == [(0, 6)]
         assert eng.locate(3, 4000) == 2
-        assert seen == [(0, 6)]   # a second locate at the same time: nothing
-        assert eng.job.exchanged_chunks == 6
+        assert seen == [(0, 3), (3, 6)]   # locating lands nothing
         eng.advance_to(300)   # 1200B -> 9 chunks copied
-        assert seen == [(0, 6)]
+        assert seen == [(0, 3), (3, 6), (6, 9)]
         assert eng.locate(3, 0) == 80
-        assert seen == [(0, 6), (6, 9)]
         eng.advance_to(10_000)
         # Completion lands the remainder before on_complete runs.
-        assert seen == [(0, 6), (6, 9), (9, 32)]
-        assert done == [[(0, 6), (6, 9), (9, 32)]]
+        assert seen == [(0, 3), (3, 6), (6, 9), (9, 32)]
+        assert done == [[(0, 3), (3, 6), (6, 9), (9, 32)]]
 
     def test_untouched_swap_lands_whole_at_completion(self):
         seen = []
         eng, done = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
         eng.start_swap(7, 80, 3, 2, now_ns=0)
-        for t in range(0, 1024, 32):
-            eng.advance_to(t)
-            assert eng.locate(4, 0) is None
+        assert eng.locate(7, 0) == 80 and eng.locate(4, 0) is None
         assert seen == [] and not done
+        # The first advance completes the swap: one whole-page exchange.
         eng.advance_to(1024)
+        assert seen == [(0, eng.total_chunks)] and len(done) == 1
+        assert done[0].applied_chunks == eng.total_chunks == 32
+        eng.advance_to(500)   # stale, and the engine is idle: nothing lands
         assert seen == [(0, 32)] and len(done) == 1
-        assert done[0].exchanged_chunks == done[0].applied_chunks == 32
 
     def test_progress_monotone_under_time_replays(self):
-        eng, _ = make_engine()
+        seen = []
+        eng, _ = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         eng.advance_to(100)
         chunks = eng.job.applied_chunks
         eng.advance_to(50)  # stale time must not roll progress back
         assert eng.job.applied_chunks == chunks
+        assert seen == [(0, chunks)]   # nor land anything
 
     def test_due_is_never_after_completion(self):
         # The request path skips the engine until the clock reaches `due_ns`,
@@ -114,7 +115,7 @@ class TestEngine:
                 eng, done = make_engine(page, chunk, bw)
                 job = eng.start_swap(1, 9, 0, 3, now_ns=start)
                 first = start + max(0, math.floor(eng.duration_ns()) - 3)
-                while eng.chunks_done(first) < job.total_chunks:
+                while eng.chunks_done(first) < eng.total_chunks:
                     first += 1
                 assert first - 2 <= job.due_ns <= first, (page, bw)
                 # `first` is where advance_to itself completes.
@@ -235,8 +236,9 @@ class TestConflictRouting:
 
 
 class TestLazyLanding:
-    """Content of an in-flight swap lands only when the pair is located or
-    the swap completes; it must read the same as an eager copy."""
+    """Content of an in-flight swap lands only at the lazy clock's advances,
+    which the request path makes before it reads a page of the pair; it
+    must read the same as an eager copy."""
 
     @pytest.mark.parametrize("exact", (True, False))
     @pytest.mark.parametrize("policy", (Policy.PAGEMOVE, Policy.ADPCOMB))
@@ -251,7 +253,7 @@ class TestLazyLanding:
                                        rec.size_bytes, n))
             job = sim.engine.job
             if (job is not None and 0 < sim.engine.chunks_done(
-                    sim.ledger.total_foreground_ns) < job.total_chunks
+                    sim.ledger.total_foreground_ns) < sim.engine.total_chunks
                     and n >= (checked[-1] + 60 if checked else 0)):
                 assert sim.content_digest() == \
                     oracle_run(records[:n + 1], cfg)[1], f"request {n}"
@@ -283,9 +285,38 @@ class TestLazyLanding:
             if sim.engine.job is not None and n % 10 == 0:
                 sim.engine.advance_to(sim.ledger.total_foreground_ns)
                 job = sim.engine.job
-                split += job is not None and 0 < job.applied_chunks < job.total_chunks
+                split += (job is not None
+                          and 0 < job.applied_chunks < sim.engine.total_chunks)
                 assert sim.content_digest() == by_peek(sim), f"request {n}"
         assert split >= 10
+
+    def test_read_paths_mutate_nothing_mid_swap(self):
+        sim = Simulator(small_config(Policy.PAGEMOVE, bloom_window=8))
+        base = (sim.config.fast_pages + 5) * 4096
+        sim.dispatch(MemoryRequest("W", base + 128, 64, 0))   # starts a swap
+        job, engine = sim.engine.job, sim.engine
+        victim = job.dst_host * 4096
+        sim.dispatch(MemoryRequest("W", victim + 128, 32, 1))
+        seq = 2
+        while engine.chunks_done(sim.ledger.total_foreground_ns) < 8:
+            sim.dispatch(MemoryRequest("R", 7 * 4096, 64, seq))
+            seq += 1
+        # Catch the engine up without locating a page of the pair.
+        engine.advance_to(sim.ledger.total_foreground_ns)
+        assert 0 < job.applied_chunks < sim.blocks_per_page
+
+        def state():
+            return ({page: index[:] for page, index in sim.mem.items()},
+                    [bytes(arena) for arena in sim.arenas], job.applied_chunks)
+
+        before = state()
+        assert sim.peek(base, 4096)[128:192] == core.write_payload(0, 64)
+        assert sim.peek(victim + 128, 32) == core.write_payload(1, 32)
+        sim.content_digest()
+        assert engine.locate(job.src_host, 128) == job.dst_internal
+        assert engine.locate(job.dst_host, 4095) == job.dst_internal
+        assert state() == before
+        assert engine.job is job
 
     def test_untouched_victim_stays_unallocated(self):
         sim = Simulator(small_config(Policy.PAGEMOVE, bloom_window=8))

@@ -170,7 +170,7 @@ class TestFootprint:
             seq += 1
         sim.dispatch(MemoryRequest("R", base + 9 * 128, 64, seq))
         # Block 1 of each page now sits in the other page's index.
-        assert 0 < job.exchanged_chunks < job.total_chunks
+        assert 0 < job.applied_chunks < sim.engine.total_chunks
         assert sim.content_digest() == peek_digest(sim)
 
     def test_untouched_simulator(self):

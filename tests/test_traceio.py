@@ -504,7 +504,7 @@ class TestGenerate:
                 assert r.host_addr // 128 == (r.host_addr + r.size_bytes - 1) // 128
 
     def test_bad_spec(self):
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="^gen: unknown workload kind"):
             generate(WorkloadSpec(kind="bogus", footprint_bytes=4096,
                                   request_count=1))
         with pytest.raises(TraceError):
@@ -519,3 +519,23 @@ class TestGenerate:
         assert len(generate(WorkloadSpec(kind="sequential",
                                          footprint_bytes=4096,
                                          request_count=3, stride_bytes=0))) == 3
+        # Each error names the flag that sets the field.
+        for fields, message in (
+                ({"zipf_s": float("nan")}, "^zipf-s: nan is not finite"),
+                ({"zipf_s": float("inf")}, "^zipf-s: inf is not finite"),
+                ({"zipf_s": -float("inf")}, "^zipf-s: -inf is not finite"),
+                ({"request_bytes": 0}, "^req-size: 0 is not a positive"),
+                ({"request_bytes": -64}, "^req-size: -64 is not a positive"),
+                ({"request_bytes": 96}, "^req-size: 96 is not a positive"),
+                ({"request_count": 0}, "^requests: 0 is not positive"),
+                ({"write_fraction": float("nan")}, "^write-fraction: "),
+                ({"footprint_bytes": 4095}, "^footprint: ")):
+            spec = {"kind": "zipfian", "footprint_bytes": 4 * 4096,
+                    "request_count": 3, **fields}
+            with pytest.raises(TraceError, match=message):
+                generate(WorkloadSpec(**spec))
+        # A finite exponent of either sign is a valid skew.
+        for s in (0.0, -1.0, 2.5):
+            assert len(generate(WorkloadSpec(kind="zipfian",
+                                             footprint_bytes=4 * 4096,
+                                             request_count=3, zipf_s=s))) == 3
