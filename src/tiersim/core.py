@@ -5,9 +5,11 @@ That path is `Simulator._serve`, over a batch of requests given as trace
 columns: `run` passes the whole trace, `dispatch` a batch of one. The state
 it reads is bound to locals once per batch. Each request is then:
 
-1. validated (a failure goes to `_reject`), its block marked touched and
-   its page recorded for the victim search; the access bitmap is written
-   only for an enabled adaptive controller, its one reader;
+1. validated (a failure goes to `_reject`) and its block marked touched;
+   the access bitmap is written only for an enabled adaptive controller,
+   its one reader. Pages are recorded for the victim search per batch, as
+   a slice of the address column, before a swap start's search reads the
+   filter, before `_reject` raises and at the end of the batch;
 2. located: the DMA engine is caught up only when a swap is in flight and
    the request reaches a page of the pair or the swap's due time;
 3. served from its cache line in the zone when one is resident, unless its
@@ -16,20 +18,24 @@ it reads is bound to locals once per batch. Each request is then:
    write to the chunk being copied stalls until it lands;
 4. charged one foreground unit: one bump of the ledger counter for its tier
    and kind, plus that counter's latency on the clock;
-5. handed, if it touched a slow page outside the pair, to a migrating
-   policy for a swap or a block copy, unless the engine is busy and there
-   is no cache, since a busy engine refuses every swap.
+5. if it touched a slow page outside the pair, acted on as a migrating
+   policy decides, in the loop: a swap or a block copy, unless the engine
+   is busy and there is no cache, since a busy engine refuses every swap.
 
-Content is one slot per written block in 64 KiB arenas, indexed per touched
-internal page; slot 0 is the shared zero block. Swaps move slot references
-as the engine advances, never bytes. README describes the model in full.
+Content is one slot per written block in 64 KiB arenas, indexed per written
+internal page; slot 0 is the shared zero block. Slot references come from
+one counter, and a write's bytes are a slice of a repeating pattern, so a
+request with no policy action makes no Python-level call. Swaps move slot
+references as the engine advances, never bytes. README has the full model.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, count
 
 from .config import CACHING, MIGRATING, Policy, SimConfig
@@ -67,7 +73,8 @@ _PATTERN = _CYCLE * 17
 
 
 def write_payload(seq: int, size: int) -> bytes:
-    """Deterministic bytes carried by write `seq`; tests recompute these."""
+    """Deterministic bytes carried by write `seq`, which the request loop
+    slices from its own copy of the cycle; tests recompute these."""
     start = seq & 0xFF
     if start + size <= len(_PATTERN):
         return _PATTERN[start:start + size]
@@ -96,8 +103,13 @@ class Simulator:
         arena_bytes = max(ARENA_BYTES, self.block_bytes)
         self.arena_shift = arena_bytes.bit_length() - 1
         self.arena_mask = arena_bytes - 1
-        self.arenas = [bytearray(arena_bytes)]   # slot 0: the zero block
-        self.next_slot = self.block_bytes        # reference of the next slot
+        # Arenas by number, each made on its first reference; slot 0, in
+        # arena 0, is the zero block. New slots are one block apart.
+        self.arenas = defaultdict(partial(bytearray, arena_bytes),
+                                  {0: bytearray(arena_bytes)})
+        self._next_ref = count(self.block_bytes, self.block_bytes).__next__
+        # Write `seq`'s bytes: this from `seq & 0xFF`, as in `write_payload`.
+        self._pattern = _CYCLE * (self.block_bytes // 256 + 2)
         # At most one index per internal page exists, so this bounds every
         # reference; a large geometry gets 8-byte entries.
         last_ref = (cfg.total_pages * self.blocks_per_page
@@ -142,20 +154,11 @@ class Simulator:
     # Content helpers ---------------------------------------------------
 
     def _page_mem(self, internal_page: int) -> array:
-        """The page's slot index, created on its first touch."""
+        """The page's slot index, created when first needed."""
         index = self.mem.get(internal_page)
         if index is None:
             index = self.mem[internal_page] = self._blank_index[:]
         return index
-
-    def _new_slot(self, index: array, i: int) -> int:
-        """Give block `i` of a page its own slot, on the block's first write."""
-        ref = self.next_slot
-        self.next_slot = ref + self.block_bytes
-        if not ref & self.arena_mask:
-            self.arenas.append(bytearray(self.arena_mask + 1))
-        index[i] = ref
-        return ref
 
     def _slot_bytes(self, ref: int) -> bytearray:
         lo = ref & self.arena_mask
@@ -220,7 +223,7 @@ class Simulator:
         it; otherwise build none and copy no read's bytes."""
         # Everything the loop reads is bound once. The callables are bound
         # here, not at construction, so wrappers installed on the classes
-        # before a run are the ones called.
+        # or on `slow_touch_action` before a run are the ones called.
         (block, block_shift, block_mask, page_shift, page_mask, space,
          region_shift) = self._path_geometry
         bitmap = self._path_bitmap
@@ -229,16 +232,22 @@ class Simulator:
         counts, unit_ns = ledger.counts, ledger.unit_ns
         pagetable = self.pagetable
         table, fast_pages = pagetable.table, pagetable.fast_pages
+        cached_blocks = pagetable.cached_blocks
+        # The pages of requests [0, recorded) of the batch are recorded.
         record = pagetable.recency.record
+        recorded = 0
         engine = self.engine
         cache = self.cache
         if cache is not None:
             lookup, zone, line_offset = cache.lookup, cache.zone, cache.line_offset
         mem = self.mem
-        page_mem, new_slot = self._page_mem, self._new_slot
+        page_mem, next_ref = self._page_mem, self._next_ref
         arenas, arena_shift, arena_mask = self.arenas, self.arena_shift, self.arena_mask
+        pattern = self._pattern
         migrating = self.migrating
-        payload = write_payload
+        policy, threshold = self.config.policy, self.config.promotion_threshold
+        controller = self.controller
+        touch_action = slow_touch_action
         keep = outcomes is not None
 
         for seq, (kind, addr, size) in enumerate(zip(kinds, addrs, sizes),
@@ -246,13 +255,13 @@ class Simulator:
             in_block = addr & block_mask
             if (size <= 0 or in_block + size > block or addr < 0
                     or addr + size > space):
+                record(addrs, page_shift, recorded, seq - first_seq)
                 self._reject(seq, addr, size)
             host_page = addr >> page_shift
             offset_in_page = addr & page_mask
             block_in_page = offset_in_page >> block_shift
             block_id = addr >> block_shift
             touched[block_id] = 1
-            record(host_page)
             if bitmap is not None:
                 bitmap[host_page] |= 1 << (block_in_page >> region_shift)
 
@@ -300,12 +309,12 @@ class Simulator:
                         engine.advance_to(ledger.total_foreground_ns)
                         internal = self._locate(host_page, offset_in_page)
                 fast = internal < fast_pages
-                index = mem.get(internal) or page_mem(internal)
-                # A read in `run` copies no bytes, so it needs no slot.
+                # A read in `run` copies no bytes, so it needs no index.
                 if kind != "R" or keep:
+                    index = mem.get(internal) or page_mem(internal)
                     ref = index[block_in_page]
                     if not ref and kind != "R":
-                        ref = new_slot(index, block_in_page)
+                        ref = index[block_in_page] = next_ref()
                     buf = arenas[ref >> arena_shift]
                     offset = (ref & arena_mask) + in_block
 
@@ -314,18 +323,30 @@ class Simulator:
                 counter = FAST_READ if fast else SLOW_READ
             else:
                 counter = FAST_WRITE if fast else SLOW_WRITE
-                buf[offset:offset + size] = payload(seq, size)
+                start = seq & 0xFF
+                buf[offset:offset + size] = pattern[start:start + size]
             counts[counter] += 1
             latency = unit_ns[counter]
             ledger.total_foreground_ns += latency
             # A busy engine refuses every swap, so without a block cache
-            # there is nothing else to do. No stall precedes a slow touch
-            # outside the pair, so the request arrived one latency ago.
+            # there is nothing else to do.
             if (migrating and not fast and not in_flight
                     and (engine.job is None or cache is not None)):
-                self._slow_policy_actions(host_page, internal, block_id,
-                                          block_in_page,
-                                          ledger.total_foreground_ns - latency)
+                action = touch_action(policy, cached_blocks[host_page], threshold
+                                      if controller is None else controller.threshold)
+                # A victim candidate is always waiting: one is found at
+                # construction and at the end of every `_start_swap` (with
+                # this request recorded), or `search_candidate` raises.
+                if action == TRY_SWAP and engine.job is None:
+                    record(addrs, page_shift, recorded, seq - first_seq + 1)
+                    recorded = seq - first_seq + 1
+                    self._start_swap(host_page, internal)
+                elif action == COPY_BLOCK:
+                    # No stall precedes a slow touch outside the pair, so
+                    # the request arrived one latency ago.
+                    self._copy_block_in(host_page, internal, block_id,
+                                        block_in_page,
+                                        ledger.total_foreground_ns - latency)
             if keep:
                 # Policy actions copy this block out or write back another
                 # one, so a read's bytes are still the ones it was served
@@ -334,13 +355,16 @@ class Simulator:
                 outcomes.append(ServiceOutcome(seq, "fast" if fast else "slow",
                                                latency, stall_ns=stall,
                                                data=data))
+        record(addrs, page_shift, recorded)
 
     def _write_back(self, internal, block_id, data) -> str:
         """Merge a dirty cache line into its page as background traffic;
         returns the tier written."""
         index = self._page_mem(internal)
         i = block_id % self.blocks_per_page
-        ref = index[i] or self._new_slot(index, i)
+        ref = index[i]
+        if not ref:     # the block's first write
+            ref = index[i] = self._next_ref()
         lo = ref & self.arena_mask
         self.arenas[ref >> self.arena_shift][lo:lo + len(data)] = data
         tier = "fast" if self.pagetable.in_fast(internal) else "slow"
@@ -353,20 +377,6 @@ class Simulator:
         if self.controller is not None:
             return self.controller.threshold
         return self.config.promotion_threshold
-
-    def _slow_policy_actions(self, host_page, internal, block_id,
-                             block_in_page, arrival_ns):
-        action = slow_touch_action(self.config.policy,
-                                   self.pagetable.cached_blocks[host_page],
-                                   self._live_threshold())
-        # A victim candidate is always waiting: one is found at construction
-        # and at the end of every `_start_swap`, and `search_candidate`
-        # raises rather than leave none.
-        if action == TRY_SWAP and not self.engine.busy:
-            self._start_swap(host_page, internal)
-        elif action == COPY_BLOCK:
-            self._copy_block_in(host_page, internal, block_id, block_in_page,
-                                arrival_ns)
 
     def _start_swap(self, host_page, internal):
         dst_host, dst_internal = self.pagetable.take_candidate()

@@ -61,7 +61,7 @@ class PageTable:
     # Access metadata ---------------------------------------------------
 
     def record_access(self, host_page: int, block_index: int):
-        self.recency.record(host_page)
+        self.recency.record((host_page,))
         # Pages and blocks are powers of two, so the region is below
         # BITMAP_BITS without a clamp.
         self.bitmap[host_page] |= 1 << (block_index // self.region_blocks)

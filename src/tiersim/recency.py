@@ -2,14 +2,14 @@
 
 Two interchangeable structures: a pair of alternating bloom filters that age
 out in generations, and an exact sliding-window queue used by tests and the
-reference oracle.
+reference oracle. Both record by column: `record` takes a range of a batch's
+address column and records each address's page, with the effect of
+recording them one at a time.
 
-The bloom filters record lazily. A record only appends the page to the
-active generation's pending list; its bits are set when something can read
-them, that is before a query and at the rollover that turns the active bank
-into the aging one. Setting a bit is idempotent and nothing reads the banks
-in between, so every query sees the bits an eager filter would hold, while
-a run of records of one page sets that page's bits once.
+The bloom filters record lazily: pages wait in a pending list until a query
+sets their bits. Setting a bit is idempotent and nothing reads the banks in
+between, so every query sees the bits an eager filter would hold, while a
+run of records of one page sets that page's bits once.
 """
 
 from __future__ import annotations
@@ -35,17 +35,16 @@ _DESIGN_FP = 0.02
 class BloomRecencyFilter:
     """Tracks roughly the last `window` recorded pages.
 
-    Records go to the active filter; every `window` records the active
-    filter becomes the aging one and a fresh filter starts.  Queries check
-    both, so a page recorded within the last `window` records is always
-    reported present; pages older than two generations vanish.  The bit
-    positions of host pages below `pages` are hashed once, into a flat memo.
+    Every `window` records, counted from creation, the active filter
+    becomes the aging one and a fresh filter starts. Queries check both, so
+    a page recorded within the last `window` records is always reported
+    present; pages older than two generations vanish. The bit positions of
+    host pages below `pages` are hashed once, into a flat memo.
 
-    `pending` lists the active generation's records in order, and the
-    active filter holds the bits of `pending[:flushed]`.  The rest are set,
-    once per distinct page, before a query reads the banks and at rollover
-    before the active filter starts aging; `pending` never holds more than
-    `window` pages.
+    `pending` holds the pages of the last `len(pending)` of the `count`
+    records, whose bits are not set yet; `record` drops those that no generation can hold
+    any more, so it stays below `2 * window` pages. `_flush` sets them,
+    rolling the filters over at each generation boundary it crosses.
     """
 
     def __init__(self, window: int, pages: int = 0):
@@ -59,7 +58,7 @@ class BloomRecencyFilter:
         self.active = bytearray(self.nbits)
         self.aging = bytearray(self.nbits)
         self.pending = []
-        self.flushed = 0
+        self.count = 0
 
     # Double hashing: probe i is h1 + i * h2 (mod 2**64), taken mod nbits.
     def _probes(self, key: int):
@@ -75,36 +74,49 @@ class BloomRecencyFilter:
         return positions
 
     def _flush(self):
-        """Set the active filter's bits of the pages recorded since the last
-        flush, once per distinct page."""
-        pending = self.pending
-        fresh = pending[self.flushed:]
-        # A query right after a single record, the common case, builds no set.
-        if len(fresh) > 1:
-            fresh = set(fresh)
-        k, memo, nbits, active = self.k, self.memo, self.nbits, self.active
-        for page in fresh:
-            base = page * k
-            if 0 <= base < len(memo) and memo[base] != nbits:
-                positions = memo[base:base + k]
-            else:
-                positions = self._probes(page)
-            for pos in positions:
-                active[pos] = 1
-        self.flushed = len(pending)
+        """Set the pending pages' bits, once per page per generation."""
+        pending, window = self.pending, self.window
+        k, memo, nbits = self.k, self.memo, self.nbits
+        # Segments end at generation boundaries: pending[0] is record
+        # count - len(pending).
+        lo, hi = 0, window - (self.count - len(pending)) % window
+        while lo < len(pending):
+            fresh = pending[lo:hi]
+            # A query right after a single record builds no set.
+            if len(fresh) > 1:
+                fresh = set(fresh)
+            active = self.active
+            for page in fresh:
+                base = page * k
+                if 0 <= base < len(memo) and memo[base] != nbits:
+                    positions = memo[base:base + k]
+                else:
+                    positions = self._probes(page)
+                for pos in positions:
+                    active[pos] = 1
+            if hi <= len(pending):
+                self.aging = active
+                self.active = bytearray(nbits)
+            lo, hi = hi, hi + window
+        pending.clear()
 
-    def record(self, page: int):
-        pending = self.pending
-        pending.append(page)
-        if len(pending) >= self.window:
-            self._flush()
-            self.aging = self.active
-            self.active = bytearray(self.nbits)
-            pending.clear()
-            self.flushed = 0
+    def record(self, addrs, shift: int = 0, lo: int = 0, hi: int | None = None):
+        """Record the pages `addrs[j] >> shift` for `lo <= j < hi`, in order."""
+        hi = len(addrs) if hi is None else hi
+        window, pending = self.window, self.pending
+        count = self.count + max(0, hi - lo)
+        # Records before the aging generation's start at the new count are
+        # dropped unflushed; the banks then hold only older ones: clear both.
+        stale = (count // window - 1) * window - (self.count - len(pending))
+        if stale > 0:
+            self.active, self.aging = bytearray(self.nbits), bytearray(self.nbits)
+            lo += max(0, stale - len(pending))
+            del pending[:stale]
+        self.count = count
+        pending.extend(map(shift.__rrshift__, addrs[lo:hi]))
 
     def __contains__(self, page: int) -> bool:
-        if self.flushed != len(self.pending):
+        if self.pending:
             self._flush()
         positions = self._probes(page)
         for bank in (self.active, self.aging):
@@ -124,14 +136,19 @@ class ExactRecencyFilter:
         self.queue = deque()
         self.counts = Counter()
 
-    def record(self, page: int):
-        self.queue.append(page)
-        self.counts[page] += 1
-        if len(self.queue) > self.window:
-            old = self.queue.popleft()
-            self.counts[old] -= 1
-            if not self.counts[old]:
-                del self.counts[old]
+    def record(self, addrs, shift: int = 0, lo: int = 0, hi: int | None = None):
+        """Record the pages `addrs[j] >> shift` for `lo <= j < hi`, in order."""
+        hi = len(addrs) if hi is None else hi
+        queue, counts, window = self.queue, self.counts, self.window
+        # Only the last `window` records can be read.
+        for page in map(shift.__rrshift__, addrs[max(lo, hi - window):hi]):
+            queue.append(page)
+            counts[page] += 1
+            if len(queue) > window:
+                old = queue.popleft()
+                counts[old] -= 1
+                if not counts[old]:
+                    del counts[old]
 
     def __contains__(self, page: int) -> bool:
         return page in self.counts

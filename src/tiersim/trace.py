@@ -336,6 +336,15 @@ class WorkloadSpec:
             raise TraceError("write-fraction: must be in [0, 1]")
         if not math.isfinite(self.zipf_s):
             raise TraceError(f"zipf-s: {self.zipf_s} is not finite")
+        # Zipf weights 1 / r**s are monotone in the rank r: check the last.
+        pages = self.footprint_bytes // self.page_bytes
+        try:
+            weight = 1.0 / (pages ** self.zipf_s)
+        except (OverflowError, ZeroDivisionError):
+            weight = 0.0
+        if self.kind == "zipfian" and not 0.0 < weight < math.inf:
+            raise TraceError(f"zipf-s: {self.zipf_s} gives page rank {pages} "
+                             f"a weight that is not a positive finite float")
         return self
 
 

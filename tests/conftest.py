@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tiersim import Policy, SimConfig, Simulator, Trace
+from tiersim.recency import mix64
 
 
 def small_config(policy=Policy.PAGEMOVE, **overrides):
@@ -90,6 +91,30 @@ def shadow_run(config, trace):
     assert service_ns == report["elapsed_ns"]
     assert fast_outcomes == report["fast_reads"] + report["fast_writes"]
     return sim, report, mismatches
+
+
+class ReferenceBloom:
+    """Two rotating banks held as sets of bit positions, each key hashed on
+    every call straight from the double-hash definition."""
+
+    def __init__(self, window, nbits, k):
+        self.window, self.nbits, self.k = window, nbits, k
+        self.active, self.aging, self.count = set(), set(), 0
+
+    def positions(self, key):
+        h1 = mix64(key)
+        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
+        return {(h1 + i * h2) % 2 ** 64 % self.nbits for i in range(self.k)}
+
+    def record(self, key):
+        self.active |= self.positions(key)
+        self.count += 1
+        if self.count == self.window:
+            self.aging, self.active, self.count = self.active, set(), 0
+
+    def __contains__(self, key):
+        positions = self.positions(key)
+        return positions <= self.active or positions <= self.aging
 
 
 def random_oracle_config(rng, policy, exact=True):

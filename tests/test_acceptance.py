@@ -272,7 +272,7 @@ def test_criterion_9_recency_filter_quality():
     false_negatives = 0
     for _ in range(500_000):
         page = rng.randrange(1 << 40)
-        filt.record(page)
+        filt.record((page,))
         recent.append(page)
         ops += 1
         probe = recent[rng.randrange(len(recent))]

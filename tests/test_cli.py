@@ -362,6 +362,11 @@ class TestMetacost:
       "--requests", "3"], "zipf-s: inf is not finite"),
     (["run", *BASE, "--gen", "zipfian", "--zipf-s=-inf", "--pages", "4",
       "--requests", "3"], "zipf-s: -inf is not finite"),
+    (["gen", "--gen", "zipfian", "--zipf-s", "700", "--pages", "4",
+      "--requests", "3"], "zipf-s: 700.0 gives page rank 4 a weight that "
+                          "is not a positive finite float"),
+    (["gen", "--gen", "zipfian", "--zipf-s=-700", "--pages", "4",
+      "--requests", "3"], "zipf-s: -700.0 gives page rank 4 a weight"),
     (["gen", "--gen", "zipfian", "--req-size", "0", "--pages", "4",
       "--requests", "3"], "req-size: 0 is not a positive divisor"),
     (["gen", "--gen", "zipfian", "--req-size", "-64", "--pages", "4",
@@ -381,7 +386,8 @@ class TestMetacost:
         "page-not-a-size", "space-not-a-size", "run-pages-negative",
         "stride-0", "stride-not-a-multiple", "stride-not-a-size",
         "footprint-not-a-size", "zipf-s-nan", "zipf-s-inf",
-        "run-zipf-s-minus-inf", "req-size-0", "req-size-negative",
+        "run-zipf-s-minus-inf", "zipf-s-weight-overflows",
+        "zipf-s-weight-underflows", "req-size-0", "req-size-negative",
         "req-size-not-a-divisor", "requests-0", "run-requests-negative",
         "write-fraction-above-1", "run-footprint-beyond-host-space"])
 def test_bad_geometry_argument_exits_1(argv, named, tmp_path, capsys):

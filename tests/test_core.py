@@ -184,6 +184,18 @@ class TestWritePayload:
                       if write_payload(seq, size) != expected[:size]]
         assert not wrong
 
+    @pytest.mark.parametrize("block", [128, 512, 4096])
+    def test_the_request_loop_writes_these_bytes(self, block):
+        # Whole-block writes whose pattern starts wrap past 255.
+        sim = Simulator(small_config(Policy.STATIC, block_size_bytes=block,
+                                     promotion_threshold=1,
+                                     adaptive_min_threshold=1,
+                                     adaptive_max_threshold=1))
+        for seq in range(250, 262):
+            addr = seq * block
+            sim.dispatch(MemoryRequest("W", addr, block, seq))
+            assert sim.peek(addr, block) == write_payload(seq, block)
+
     def test_sizes_beyond_the_precomputed_pattern(self):
         for seq in (0, 1, 255, 333):
             for size in (4097, 4353, 8192, 65536):
@@ -218,15 +230,25 @@ class TestShadowContent:
                 assert out.data == peeked
 
 
+def content_lines():
+    """Line numbers of `core.py` where content is allocated: every line of
+    the content helpers, and the lines of the other methods that index the
+    slot arenas, which make an arena on its first reference."""
+    numbers = set()
+    for fn in (Simulator._page_mem, Simulator._exchange_chunks,
+               Simulator._serve, Simulator._write_back):
+        lines, first = inspect.getsourcelines(fn)
+        helper = fn.__name__ not in ("_serve", "_write_back")
+        numbers.update(first + i for i, line in enumerate(lines)
+                       if helper or "arenas[" in line)
+    return numbers
+
+
 def content_heap(sim, requests):
     """Run (kind, addr, size) requests; return the bytes still held that
     were allocated where the simulator stores content: page indexes, the
     `mem` dict and slot arenas."""
-    spans = []
-    for fn in (Simulator._page_mem, Simulator._new_slot,
-               Simulator._exchange_chunks):
-        lines, first = inspect.getsourcelines(fn)
-        spans.append((first, first + len(lines)))
+    lines = content_lines()
     trace = Trace(TraceRecord(*request) for request in requests)
     tracemalloc.start()
     try:
@@ -237,10 +259,14 @@ def content_heap(sim, requests):
     held = 0
     for stat in snapshot.statistics("lineno"):
         frame = stat.traceback[0]
-        if frame.filename == core.__file__ and any(
-                lo <= frame.lineno < hi for lo, hi in spans):
+        if frame.filename == core.__file__ and frame.lineno in lines:
             held += stat.size
     return held
+
+
+def slots(sim):
+    """Slots held: the non-zero slot references across the page indexes."""
+    return sum(1 for index in sim.mem.values() for ref in index if ref)
 
 
 def wide_config(policy=Policy.STATIC, **overrides):
@@ -263,7 +289,8 @@ class TestContentMemory:
                     for p in range(pages)]
         held = content_heap(sim, requests)
         assert held <= pages * 128 + pages * 256
-        assert sim.next_slot == (pages + 1) * 128
+        assert slots(sim) == pages
+        assert len(sim.arenas) == pages * 128 // core.ARENA_BYTES + 1
 
     def test_dense_run_has_almost_no_per_block_overhead(self):
         sim = Simulator(wide_config())
@@ -279,7 +306,7 @@ class TestContentMemory:
         pages = sim.config.host_space_bytes // 4096
         requests = [("R", p * 4096 + (p % 32) * 128, 64) for p in range(pages)]
         held = content_heap(sim, requests)
-        assert sim.next_slot == 128 and len(sim.arenas) == 1
+        assert slots(sim) == 0 and len(sim.arenas) == 1
         assert held <= pages * 256
         assert sim.peek(0, 4096) == bytes(4096)
 
@@ -301,7 +328,7 @@ class TestContentMemory:
         base = slow_page * 4096
         sim.dispatch(MemoryRequest("W", base + 128, 64, 0))   # starts a swap
         job = sim.engine.job
-        assert job is not None and sim.next_slot == 2 * 128
+        assert job is not None and slots(sim) == 1
         seq = 1
         # Unrelated traffic until 8 chunks are copied: the engine is not
         # advanced, so nothing has landed yet.
@@ -312,7 +339,7 @@ class TestContentMemory:
         out = sim.dispatch(MemoryRequest("R", base + 128, 64, seq))
         assert 0 < job.applied_chunks < sim.engine.total_chunks
         assert out.data == payload(0, 64)
-        assert sim.next_slot == 2 * 128 and len(sim.arenas) == 1
+        assert slots(sim) == 1 and len(sim.arenas) == 1
 
 
 class TestBlockContent:

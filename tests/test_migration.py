@@ -307,7 +307,8 @@ class TestLazyLanding:
 
         def state():
             return ({page: index[:] for page, index in sim.mem.items()},
-                    [bytes(arena) for arena in sim.arenas], job.applied_chunks)
+                    {n: bytes(arena) for n, arena in sim.arenas.items()},
+                    job.applied_chunks)
 
         before = state()
         assert sim.peek(base, 4096)[128:192] == core.write_payload(0, 64)

@@ -143,7 +143,7 @@ class TestVictimSearch:
     def test_bloom_present_page_skipped(self):
         pt = make_table(fast=32, total=32, window=8)
         first_slot = mix64(pt.counter) % 32
-        pt.recency.record(first_slot)
+        pt.recency.record((first_slot,))
         host, internal = pt.search_candidate()
         assert host != first_slot
 
@@ -167,7 +167,7 @@ class TestVictimSearch:
     def test_exhaustion_raises(self):
         pt = make_table(fast=4, total=32, window=32)
         for host in range(32):  # every page recent -> nothing eligible
-            pt.recency.record(host)
+            pt.recency.record((host,))
         with pytest.raises(VictimSearchError):
             pt.search_candidate()
 

@@ -1,10 +1,13 @@
 import random
 import tracemalloc
+from array import array
 from collections import deque
 
 import pytest
 
 from tiersim.recency import BloomRecencyFilter, ExactRecencyFilter, mix64
+
+from conftest import ReferenceBloom
 
 
 def test_mix64_is_stable_and_spread():
@@ -16,7 +19,7 @@ def test_mix64_is_stable_and_spread():
 class TestBloom:
     def test_present_immediately_after_record(self):
         f = BloomRecencyFilter(64)
-        f.record(12345)
+        f.record((12345,))
         assert 12345 in f
 
     def test_no_false_negatives_in_window(self):
@@ -26,7 +29,7 @@ class TestBloom:
         recent = deque(maxlen=window)
         for step in range(20_000):
             page = rng.randrange(1 << 32)
-            f.record(page)
+            f.record((page,))
             recent.append(page)
             probe = rng.choice(recent)
             assert probe in f, f"false negative at step {step}"
@@ -34,17 +37,17 @@ class TestBloom:
     def test_aging_rotation_can_forget(self):
         window = 64
         f = BloomRecencyFilter(window)
-        f.record(999_999_999)
+        f.record((999_999_999,))
         # Two full generations of distinct inserts clear the aging filter.
         for i in range(2 * window):
-            f.record(i)
+            f.record((i,))
         # The original key may only survive as a false positive now; with
         # fresh filters sized for <=5% FP this must be overwhelmingly false.
         survivors = 0
         g = BloomRecencyFilter(window)
-        g.record(777)
+        g.record((777,))
         for i in range(2 * window):
-            g.record(i + 10_000)
+            g.record((i + 10_000,))
         survivors += (999_999_999 in f) + (777 in g)
         assert survivors <= 1
 
@@ -53,7 +56,7 @@ class TestBloom:
         f = BloomRecencyFilter(window)
         rng = random.Random(1)
         for _ in range(3 * window):  # both generations full
-            f.record(rng.randrange(1 << 48))
+            f.record((rng.randrange(1 << 48),))
         probes = 20_000
         false_hits = sum((1 << 50) + i in f for i in range(probes))
         assert false_hits / probes <= 0.05
@@ -61,30 +64,6 @@ class TestBloom:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             BloomRecencyFilter(0)
-
-
-class ReferenceBloom:
-    """Two rotating banks held as sets of bit positions, each key hashed on
-    every call straight from the double-hash definition."""
-
-    def __init__(self, window, nbits, k):
-        self.window, self.nbits, self.k = window, nbits, k
-        self.active, self.aging, self.count = set(), set(), 0
-
-    def positions(self, key):
-        h1 = mix64(key)
-        h2 = mix64(key ^ 0xA5A5A5A5A5A5A5A5) | 1
-        return {(h1 + i * h2) % 2 ** 64 % self.nbits for i in range(self.k)}
-
-    def record(self, key):
-        self.active |= self.positions(key)
-        self.count += 1
-        if self.count == self.window:
-            self.aging, self.active, self.count = self.active, set(), 0
-
-    def __contains__(self, key):
-        positions = self.positions(key)
-        return positions <= self.active or positions <= self.aging
 
 
 class TestMemo:
@@ -106,7 +85,7 @@ class TestMemo:
             for probe in (rng.randrange(2 * n), rng.choice(edges), key):
                 answers.add(probe in memo)
                 assert (probe in memo) == (probe in ref), probe
-            memo.record(key)
+            memo.record((key,))
             ref.record(key)
         assert steps // window >= 3  # generation rollovers
         assert answers == {True, False}
@@ -128,7 +107,7 @@ class TestMemo:
         while queries < 12:
             key = rng.randrange(2 * n)
             for _ in range(rng.choice((1, 2, window, 3 * window + 1))):
-                lazy.record(key)
+                lazy.record((key,))
                 ref.record(key)
                 if ref.count in query_at:
                     queries += 1
@@ -142,15 +121,17 @@ class TestMemo:
         lazy = BloomRecencyFilter(window, pages=64)
         ref = ReferenceBloom(window, lazy.nbits, lazy.k)
         for _ in range(window):
-            lazy.record(7)
+            lazy.record((7,))
             ref.record(7)
-        # The generation rolled over with no query: its bits were set when
-        # the active bank started aging, and no others.
+        # No query has read the generation, so no bit is set yet.
+        assert len(lazy.pending) == window and not any(lazy.aging)
+        # The first query sets its bits, and no others, then rolls the
+        # active bank over into the aging one.
+        assert 7 in lazy
         aging = {pos for pos, bit in enumerate(lazy.aging) if bit}
         assert aging == ref.aging
         assert len(aging) <= lazy.k
         assert not any(lazy.active) and not lazy.pending
-        assert 7 in lazy
 
     def test_memo_memory_is_flat(self):
         # A flat array of k 4-byte positions per page; a dict or per-page
@@ -161,7 +142,7 @@ class TestMemo:
             before = tracemalloc.get_traced_memory()[0]
             f = BloomRecencyFilter(512, pages=pages)
             for page in range(pages):
-                f.record(page)
+                f.record((page,))
                 assert page in f
             resident = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -170,23 +151,90 @@ class TestMemo:
         assert resident <= 4 * f.k * pages + pages + 16 * 1024
 
 
+def batch_lengths(rng, window):
+    """Random batch lengths, among them an empty batch, a single record, a
+    batch that ends on a generation boundary and one that spans three or
+    more generations."""
+    lengths = [0, 1, None, 3 * window + rng.randrange(window) + 1]
+    lengths += [rng.choice((0, 1, rng.randrange(1, 2 * window + 2)))
+                for _ in range(8)]
+    rng.shuffle(lengths)
+    return lengths
+
+
+class TestColumns:
+    """`record` over a column, split into batches and recorded in parts,
+    answers like a filter fed one page at a time."""
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 64])
+    @pytest.mark.parametrize("shift", [0, 12])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batches_match_one_page_at_a_time(self, window, shift, seed):
+        n = 64
+        bloom = BloomRecencyFilter(window, pages=n)
+        exact = ExactRecencyFilter(window)
+        ref = ReferenceBloom(window, bloom.nbits, bloom.k)
+        recent = deque(maxlen=window)
+        rng = random.Random(seed)
+        probes = range(2 * n)
+        boundaries = spans = 0
+
+        def check():
+            assert len(bloom.pending) < 2 * window
+            for probe in probes:
+                assert (probe in bloom) == (probe in ref), probe
+                assert (probe in exact) == (probe in recent), probe
+
+        for length in batch_lengths(rng, window):
+            if length is None:   # up to the next generation boundary
+                length = window - ref.count
+                boundaries += 1
+            pages = [rng.randrange(2 * n) for _ in range(length)]
+            # Addresses, with the page above `shift` and noise below it.
+            column = [page << shift | rng.randrange(1 << shift)
+                      for page in pages]
+            start = ref.count
+            # Record the column in parts, querying at each cut as the
+            # request loop does before a swap.
+            cuts = sorted(rng.sample(range(length + 1), min(length + 1, 3)))
+            lo = 0
+            for cut in cuts + [None]:
+                bloom.record(column, shift, lo, cut)
+                exact.record(column, shift, lo, cut)
+                for page in pages[lo:cut]:
+                    ref.record(page)
+                    recent.append(page)
+                lo = length if cut is None else cut
+                check()
+            spans += start + length > 2 * window
+        assert boundaries == 1 and spans
+
+    def test_a_long_batch_keeps_two_generations_at_most(self):
+        window = 512
+        f = BloomRecencyFilter(window)
+        addrs = array("Q", range(0, 100_000 << 12, 1 << 12))
+        f.record(addrs, 12)
+        assert f.count == 100_000 and len(f.pending) < 2 * window
+        assert 99_999 in f and all(page in f for page in range(99_488, 100_000))
+
+
 class TestExact:
     def test_sliding_window_semantics(self):
         f = ExactRecencyFilter(4)
         for page in (1, 2, 3, 4):
-            f.record(page)
+            f.record((page,))
         assert all(p in f for p in (1, 2, 3, 4))
-        f.record(5)
+        f.record((5,))
         assert 1 not in f and 5 in f
 
     def test_duplicates_keep_membership(self):
         f = ExactRecencyFilter(3)
-        f.record(7)
-        f.record(7)
-        f.record(8)
-        f.record(9)  # evicts one of the 7s
+        f.record((7,))
+        f.record((7,))
+        f.record((8,))
+        f.record((9,))  # evicts one of the 7s
         assert 7 in f
-        f.record(10)  # evicts the second 7
+        f.record((10,))  # evicts the second 7
         assert 7 not in f
 
     def test_bloom_is_superset_of_exact_window(self):
@@ -196,8 +244,8 @@ class TestExact:
         rng = random.Random(3)
         for _ in range(5000):
             page = rng.randrange(4096)
-            bloom.record(page)
-            exact.record(page)
+            bloom.record((page,))
+            exact.record((page,))
             probe = rng.randrange(4096)
             if probe in exact:
                 assert probe in bloom

@@ -1,19 +1,21 @@
 """The request loop `Simulator._serve`: request validation, the gated access
-bitmap, the per-page footprint and digest walk, and a guard on how many
-Python calls a request costs."""
+bitmap, batch splits, the per-page footprint and digest walk, and a guard
+on how many Python calls a request costs."""
 
 import gc
 import hashlib
+import random
 import sys
+from collections import deque
 
 import pytest
 
 from tiersim import (MemoryRequest, Policy, Simulator, Trace, TraceError,
                      WorkloadSpec, generate, load_trace)
 from tiersim.pagetable import PageTable
-from tiersim.recency import ExactRecencyFilter
+from tiersim.recency import ExactRecencyFilter, make_recency_filter
 
-from conftest import random_records, small_config
+from conftest import ReferenceBloom, random_records, small_config
 
 
 def dispatch_all(sim, trace):
@@ -37,20 +39,33 @@ def precedence_cases(space):
 
 class TestValidation:
     def test_run_names_the_first_request_that_crosses_a_block(self, tmp_trace):
-        # Loaded at 256-byte blocks, the line at 0x1f0 splits in two and
-        # the line at 0x340 stays whole, though it crosses a 128-byte block:
-        # it is request 4, on the file's fourth line.
-        path = tmp_trace(["R 0x0 64", "W 0x1f0 32", "R 0x100 64",
-                          "W 0x340 128", "R 0x80 8"])
+        # Loaded at 256-byte blocks, the line at 0x11f0 splits in two and
+        # the line at 0x3340 stays whole, though it crosses a 128-byte
+        # block: it is request 4, on the file's fourth line.
+        path = tmp_trace(["R 0x0 64", "W 0x11f0 32", "R 0x2100 64",
+                          "W 0x3340 128", "R 0x4080 8"])
         trace = load_trace(path, block_bytes=256)
         assert list(trace.sizes) == [64, 16, 16, 64, 128, 8]
-        sim = Simulator(small_config(Policy.PAGEMOVE))
-        with pytest.raises(TraceError,
-                           match=r"^request 4: crosses a block boundary$"):
-            sim.run(trace)
-        # The four requests before it were served.
-        assert sim.ledger.total_foreground_ns > 0
-        assert sum(sim.touched) == 4
+        for exact in (False, True):
+            cfg = small_config(Policy.PAGEMOVE, exact_recency=exact)
+            sim = Simulator(cfg)
+            with pytest.raises(TraceError,
+                               match=r"^request 4: crosses a block boundary$"):
+                sim.run(trace)
+            # The four requests before it were served.
+            assert sim.ledger.total_foreground_ns > 0
+            assert sum(sim.touched) == 4
+            # And recorded for the victim search, as if one at a time;
+            # request 4, alone on page 3, was not.
+            fed = make_recency_filter(cfg.bloom_window, exact, cfg.total_pages)
+            for addr in trace.addrs[:4]:
+                fed.record((addr >> 12,))
+            pages = range(cfg.total_pages)
+            answers = [page in sim.pagetable.recency for page in pages]
+            assert answers == [page in fed for page in pages]
+            assert answers[:3] == [True] * 3
+            if exact:
+                assert not answers[3]
 
     @pytest.mark.parametrize("policy", [Policy.STATIC, Policy.ADPCOMB])
     def test_size_then_crossing_then_capacity_in_dispatch(self, policy):
@@ -120,6 +135,80 @@ class TestAccessBitmap:
         assert ran.pagetable.bitmap == ref.bitmap
 
 
+class TestBatchSplits:
+    """Serving a trace in `_serve` batches gives the report and digest of
+    one `run`, wherever the batches split it: the loop binds its state and
+    feeds the recency filter once per batch. After each batch the filter
+    answers as a reference model fed the batches' pages one at a time."""
+
+    @staticmethod
+    def recency_reference(sim, trace, exact):
+        """A check of `sim`'s filter against a model fed requests [0, end)
+        one page at a time, over a few fixed pages and the recent ones."""
+        window = sim.config.bloom_window
+        model = (deque(maxlen=window) if exact else
+                 ReferenceBloom(window, sim.pagetable.recency.nbits,
+                                sim.pagetable.recency.k))
+        record = model.append if exact else model.record
+        pages = [addr >> 12 for addr in trace.addrs]
+        fixed = random.Random(47).sample(range(sim.config.total_pages), 24)
+        fed = 0
+
+        def check(end):
+            nonlocal fed
+            for page in pages[fed:end]:
+                record(page)
+            fed = end
+            for page in fixed + pages[max(0, end - 3 * window):end + 1]:
+                assert (page in sim.pagetable.recency) == (page in model), end
+
+        return check
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_any_split_serves_like_one_run(self, policy, exact):
+        cfg = small_config(policy, promotion_threshold=2, bloom_window=8,
+                           dma_bandwidth_bytes_per_ns=2.0, exact_recency=exact)
+        if policy is Policy.ALLDRAM:
+            cfg = small_config(policy, fast_capacity_bytes=1280 * 1024,
+                               slow_capacity_bytes=0, bloom_window=8,
+                               exact_recency=exact)
+        n = 1500
+        trace = random_records(n, cfg.host_space_bytes, seed=45)
+        whole = Simulator(cfg)
+        expected = whole.run(trace), whole.content_digest()
+        self.recency_reference(whole, trace, exact)(n)
+
+        # Batches of one, through `dispatch`; note the swap starts.
+        looped = Simulator(cfg)
+        swap_starts = []
+        for seq, rec in enumerate(trace):
+            swaps = looped.page_relocations
+            looped.dispatch(MemoryRequest(rec.kind, rec.host_addr,
+                                          rec.size_bytes, seq))
+            if looped.page_relocations > swaps:
+                swap_starts.append(seq)
+        assert (looped.finish(), looped.content_digest()) == expected
+        assert bool(swap_starts) == looped.migrating
+        self.recency_reference(looped, trace, exact)(n)
+
+        # Batches that end right before a swap start, and batches that span
+        # three or more generations of the filter.
+        window = cfg.bloom_window
+        rng = random.Random(46)
+        cuts = set(swap_starts[::7]) | {rng.randrange(n) for _ in range(12)}
+        bounds = sorted(cuts | {0, n})
+        batches = list(zip(bounds, bounds[1:]))
+        assert any(b - a > 2 * window for a, b in batches)
+        split = Simulator(cfg)
+        check = self.recency_reference(split, trace, exact)
+        kinds, addrs, sizes = trace.kinds, trace.addrs, trace.sizes
+        for a, b in batches:
+            split._serve(kinds[a:b], addrs[a:b], sizes[a:b], a)
+            check(b)
+        assert (split.finish(), split.content_digest()) == expected
+
+
 def peek_digest(sim):
     """The content digest from its definition: every touched block, in id
     order, as its id and `peek`'s bytes."""
@@ -180,15 +269,16 @@ class TestFootprint:
 
 
 # Python-level calls per request over `CALL_REQUESTS` seeded requests,
-# `Simulator.run` and its report included, as measured when the request
-# path became one loop. A new per-request call layer adds at least one.
+# `Simulator.run` and its report included, as measured once a request with
+# no policy action made no call. A new per-request call layer adds at least
+# one.
 CALL_REQUESTS = 4000
 CALLS_PER_REQUEST = {
-    Policy.STATIC: 1.9605,
-    Policy.PAGEMOVE: 4.5465,
-    Policy.STATCOMB: 7.906,
-    Policy.ADPCOMB: 8.0762,
-    Policy.ALLDRAM: 1.9605,
+    Policy.STATIC: 0.066,
+    Policy.PAGEMOVE: 2.51475,
+    Policy.STATCOMB: 4.961,
+    Policy.ADPCOMB: 5.13125,
+    Policy.ALLDRAM: 0.066,
 }
 HEADROOM = 1.10
 

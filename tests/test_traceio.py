@@ -524,6 +524,11 @@ class TestGenerate:
                 ({"zipf_s": float("nan")}, "^zipf-s: nan is not finite"),
                 ({"zipf_s": float("inf")}, "^zipf-s: inf is not finite"),
                 ({"zipf_s": -float("inf")}, "^zipf-s: -inf is not finite"),
+                # The weight 1 / r**s of the last rank overflows, or is 0.
+                ({"zipf_s": 700.0}, "^zipf-s: 700.0 gives page rank 4 a "
+                                    "weight that is not a positive finite"),
+                ({"zipf_s": -700.0}, "^zipf-s: -700.0 gives page rank 4 a"),
+                ({"zipf_s": -600}, "^zipf-s: -600 gives page rank 4 a"),
                 ({"request_bytes": 0}, "^req-size: 0 is not a positive"),
                 ({"request_bytes": -64}, "^req-size: -64 is not a positive"),
                 ({"request_bytes": 96}, "^req-size: 96 is not a positive"),
@@ -534,8 +539,12 @@ class TestGenerate:
                     "request_count": 3, **fields}
             with pytest.raises(TraceError, match=message):
                 generate(WorkloadSpec(**spec))
-        # A finite exponent of either sign is a valid skew.
-        for s in (0.0, -1.0, 2.5):
+        # A finite exponent of either sign is a valid skew, up to weights
+        # that are still positive finite floats; other kinds ignore it.
+        for s in (0.0, -1.0, 2.5, 500.0, -500.0):
             assert len(generate(WorkloadSpec(kind="zipfian",
                                              footprint_bytes=4 * 4096,
                                              request_count=3, zipf_s=s))) == 3
+        assert len(generate(WorkloadSpec(kind="sequential",
+                                         footprint_bytes=4 * 4096,
+                                         request_count=3, zipf_s=700.0))) == 3
