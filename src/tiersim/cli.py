@@ -223,7 +223,8 @@ def _run_labeled(args, base, runs) -> list:
     so a swept capacity reaches all-DRAM as that capacity plus the slow
     tier. A trace is read with the largest host space of the valid runs as
     its end bound, so no request is split far past every run's memory; a
-    request beyond it would fail each of those runs, and labels them."""
+    request beyond it would fail each of those runs, and labels them. With
+    no run left to label, the first config error is raised."""
     configs = []
     for policy, changes in runs:
         try:
@@ -231,10 +232,12 @@ def _run_labeled(args, base, runs) -> list:
             configs.append((policy, cfg.validate()))
         except ConfigError as exc:
             configs.append((policy, exc))
-    end = max((cfg.host_space_bytes for _, cfg in configs
-               if isinstance(cfg, SimConfig)), default=1 << 64)
+    ends = [cfg.host_space_bytes for _, cfg in configs
+            if isinstance(cfg, SimConfig)]
+    if configs and not ends:
+        raise configs[0][1]
     try:
-        records, refused = workload_records(args, base, end), None
+        records, refused = workload_records(args, base, max(ends)), None
     except TraceBoundError as exc:
         records, refused = None, f"{exc}, the largest host capacity of these runs"
     reports = []

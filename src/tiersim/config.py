@@ -142,6 +142,10 @@ class SimConfig:
               f"page_size_bytes: page size {p} is not a power of two")
         _need(self.block_size_bytes > 0 and p % self.block_size_bytes == 0,
               "block_size_bytes: page size must be a multiple of the block size")
+        _need(self.fast_capacity_bytes > 0,
+              "fast_capacity_bytes: the fast tier must not be empty")
+        _need(self.slow_capacity_bytes >= 0,
+              "slow_capacity_bytes: a tier capacity cannot be negative")
         for name in ("fast_capacity_bytes", "slow_capacity_bytes"):
             _need(getattr(self, name) % p == 0,
                   f"{name}: tier capacities must be whole pages")
@@ -182,12 +186,15 @@ class SimConfig:
               "dma_bandwidth_bytes_per_ns: DMA bandwidth must be positive and "
               f"finite, got {bandwidth}")
         for name in _NON_NEGATIVE_FIELDS:
-            _need(getattr(self, name) >= 0, f"{name} must be non-negative")
+            _need(0 <= getattr(self, name) < math.inf,
+                  f"{name} must be non-negative and finite")
         _need(1 <= self.adaptive_min_threshold <= self.adaptive_max_threshold,
               "adaptive_min_threshold must be in [1, adaptive_max_threshold]")
         _need(self.adaptive_max_threshold <= limit,
               f"adaptive_max_threshold {self.adaptive_max_threshold} must be "
               f"at most {limit}")
+        _need(self.adaptive_window_pages >= 0, "adaptive_window_pages must "
+              "be non-negative (0 disables adaptation)")
         _need(0 < self.adaptive_alpha <= 1, "adaptive_alpha must be in (0, 1]")
         for name in ("adaptive_lo_water", "adaptive_hi_water"):
             _need(0 <= getattr(self, name) <= 1, f"{name} must be in [0, 1]")
@@ -201,7 +208,7 @@ def _need(ok: bool, message: str):
         raise ConfigError(message)
 
 
-# Device numbers that are meaningless below zero.
+# Device numbers that are meaningless below zero or infinite.
 _NON_NEGATIVE_FIELDS = (
     "fast_read_ns", "fast_write_ns", "slow_read_ns", "slow_write_ns",
     "fast_read_nj", "fast_write_nj", "slow_read_nj", "slow_write_nj",

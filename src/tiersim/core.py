@@ -15,9 +15,11 @@ it reads is bound to locals once per batch. Each request is then:
 3. served from its cache line in the zone when one is resident, unless its
    page was since promoted and is not in flight, and then the line is
    recycled into the page; otherwise from its page's block slot, after a
-   write to the chunk being copied stalls until it lands;
-4. charged one foreground unit: one bump of the ledger counter for its tier
-   and kind, plus that counter's latency on the clock;
+   write to the chunk being copied stalls until it lands. Each branch tests
+   the kind once, picks the ledger counter and stores a write's bytes; a
+   read finds its slot only to copy bytes for an outcome;
+4. charged one foreground unit: one bump of that counter, plus its latency
+   on the clock;
 5. if it touched a slow page outside the pair, acted on as a migrating
    policy decides, in the loop: a swap or a block copy, unless the engine
    is busy and there is no cache, since a busy engine refuses every swap.
@@ -25,8 +27,9 @@ it reads is bound to locals once per batch. Each request is then:
 Content is one slot per written block in 64 KiB arenas, indexed per written
 internal page; slot 0 is the shared zero block. Slot references come from
 one counter, and a write's bytes are a slice of a repeating pattern, so a
-request with no policy action makes no Python-level call. Swaps move slot
-references as the engine advances, never bytes. README has the full model.
+request with no policy action makes no Python-level call. Arenas and the
+zone are memoryviews, so a store is one copy; readers get `bytes`. Swaps
+move slot references as the engine advances. README has the full model.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import hashlib
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, count
 
 from .config import CACHING, MIGRATING, Policy, SimConfig
@@ -105,8 +107,7 @@ class Simulator:
         self.arena_mask = arena_bytes - 1
         # Arenas by number, each made on its first reference; slot 0, in
         # arena 0, is the zero block. New slots are one block apart.
-        self.arenas = defaultdict(partial(bytearray, arena_bytes),
-                                  {0: bytearray(arena_bytes)})
+        self.arenas = defaultdict(self._new_arena, {0: self._new_arena()})
         self._next_ref = count(self.block_bytes, self.block_bytes).__next__
         # Write `seq`'s bytes: this from `seq & 0xFF`, as in `write_payload`.
         self._pattern = _CYCLE * (self.block_bytes // 256 + 2)
@@ -160,9 +161,14 @@ class Simulator:
             index = self.mem[internal_page] = self._blank_index[:]
         return index
 
-    def _slot_bytes(self, ref: int) -> bytearray:
+    def _new_arena(self) -> memoryview:
+        """A zero-filled arena. It is a view of its bytearray, so a store
+        into it copies the bytes once, with no resize check."""
+        return memoryview(bytearray(self.arena_mask + 1))
+
+    def _slot_bytes(self, ref: int) -> bytes:
         lo = ref & self.arena_mask
-        return self.arenas[ref >> self.arena_shift][lo:lo + self.block_bytes]
+        return bytes(self.arenas[ref >> self.arena_shift][lo:lo + self.block_bytes])
 
     def _exchange_chunks(self, first: int, stop: int):
         """Land chunks [first, stop) of the in-flight pair, just copied by
@@ -249,12 +255,11 @@ class Simulator:
         controller = self.controller
         touch_action = slow_touch_action
         keep = outcomes is not None
+        data = None
 
-        for seq, (kind, addr, size) in enumerate(zip(kinds, addrs, sizes),
-                                                 first_seq):
+        for seq, kind, addr, size in zip(count(first_seq), kinds, addrs, sizes):
             in_block = addr & block_mask
-            if (size <= 0 or in_block + size > block or addr < 0
-                    or addr + size > space):
+            if not (0 < size <= block - in_block and 0 <= addr <= space - size):
                 record(addrs, page_shift, recorded, seq - first_seq)
                 self._reject(seq, addr, size)
             host_page = addr >> page_shift
@@ -287,21 +292,38 @@ class Simulator:
                 way = lookup(block_id)
                 if (way is not None and not in_flight
                         and internal < fast_pages):
-                    dirty, data = cache.invalidate(block_id, way)
+                    dirty, line = cache.invalidate(block_id, way)
                     pagetable.drop_cached_block(host_page)
                     self.recycles += 1
                     if dirty:
-                        self._write_back(internal, block_id, data)
+                        self._write_back(internal, block_id, line)
                     way = None
 
-            # Each branch only picks the tier and the bytes that serve it.
+            # Each branch picks the ledger counter (its tier and kind) and
+            # stores a write's bytes; a read copies bytes only for an outcome.
             stall = 0
             if way is not None:
                 fast = True
-                buf = zone
-                offset = line_offset(block_id, way, kind != "R") + in_block
+                if kind == "R":
+                    counter = FAST_READ
+                    if keep:
+                        lo = line_offset(block_id, way) + in_block
+                        data = bytes(zone[lo:lo + size])
+                else:
+                    counter = FAST_WRITE
+                    lo = line_offset(block_id, way, True) + in_block
+                    start = seq & 0xFF
+                    zone[lo:lo + size] = pattern[start:start + size]
+            elif kind == "R":
+                fast = internal < fast_pages
+                counter = FAST_READ if fast else SLOW_READ
+                # A read in `run` copies no bytes, so it needs no index.
+                if keep:
+                    ref = (mem.get(internal) or page_mem(internal))[block_in_page]
+                    lo = (ref & arena_mask) + in_block
+                    data = bytes(arenas[ref >> arena_shift][lo:lo + size])
             else:
-                if in_flight and kind != "R":
+                if in_flight:
                     stall = engine.write_stall_ns(offset_in_page,
                                                   ledger.total_foreground_ns)
                     if stall:
@@ -309,22 +331,16 @@ class Simulator:
                         engine.advance_to(ledger.total_foreground_ns)
                         internal = self._locate(host_page, offset_in_page)
                 fast = internal < fast_pages
-                # A read in `run` copies no bytes, so it needs no index.
-                if kind != "R" or keep:
-                    index = mem.get(internal) or page_mem(internal)
-                    ref = index[block_in_page]
-                    if not ref and kind != "R":
-                        ref = index[block_in_page] = next_ref()
-                    buf = arenas[ref >> arena_shift]
-                    offset = (ref & arena_mask) + in_block
+                counter = FAST_WRITE if fast else SLOW_WRITE
+                index = mem.get(internal) or page_mem(internal)
+                ref = index[block_in_page]
+                if not ref:
+                    ref = index[block_in_page] = next_ref()
+                lo = (ref & arena_mask) + in_block
+                start = seq & 0xFF
+                arenas[ref >> arena_shift][lo:lo + size] = pattern[start:start + size]
 
             # A request is one block-sized foreground unit: one counter bump.
-            if kind == "R":
-                counter = FAST_READ if fast else SLOW_READ
-            else:
-                counter = FAST_WRITE if fast else SLOW_WRITE
-                start = seq & 0xFF
-                buf[offset:offset + size] = pattern[start:start + size]
             counts[counter] += 1
             latency = unit_ns[counter]
             ledger.total_foreground_ns += latency
@@ -348,13 +364,10 @@ class Simulator:
                                         block_in_page,
                                         ledger.total_foreground_ns - latency)
             if keep:
-                # Policy actions copy this block out or write back another
-                # one, so a read's bytes are still the ones it was served
-                # from.
-                data = bytes(buf[offset:offset + size]) if kind == "R" else None
                 outcomes.append(ServiceOutcome(seq, "fast" if fast else "slow",
                                                latency, stall_ns=stall,
                                                data=data))
+                data = None     # so a write's outcome carries none
         record(addrs, page_shift, recorded)
 
     def _write_back(self, internal, block_id, data) -> str:

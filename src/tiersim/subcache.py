@@ -4,12 +4,12 @@ and dirty writeback.
 
 The storage is flat, like the zone it models. Line `(set, way)` is line
 number `set * WAYS + way`; its data is the block at `line * block_bytes`
-in one `zone` bytearray, its tag is that entry of an `array('Q')`, and its
-valid and dirty flags are one byte each in two bytearrays. Each set keeps
-its 3 pLRU bits in one byte of a fourth. Beside these, a `resident` dict
-maps the block id of every valid line to its way. A lookup, hit or miss,
-is one probe of it; the flags are searched only to find a free way on
-insert.
+in `zone`, a view of one bytearray that lines are stored through and read
+out of as `bytes`. Its tag is that entry of an `array('Q')`, and its valid
+and dirty flags are one byte each in two bytearrays. Each set keeps its 3
+pLRU bits in one byte of a fourth. Beside these, a `resident` dict maps
+the block id of every valid line to its way. A lookup, hit or miss, is one
+probe of it; the flags are searched only to find a free way on insert.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class BlockCache:
         self.block_bytes = block_bytes
         self.set_mask = sets - 1
         lines = sets * WAYS
-        self.zone = bytearray(lines * block_bytes)
+        self.zone = memoryview(bytearray(lines * block_bytes))
         self.tags = array("Q", [0]) * lines
         self.valid = bytearray(lines)
         self.dirty = bytearray(lines)

@@ -453,6 +453,38 @@ def test_unparsable_value_names_its_field(field, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["--slow-size=-4KiB"], "slow_capacity_bytes"),
+    (["--slow-size=-8MiB"], "slow_capacity_bytes"),
+    (["--fast-size", "0"], "fast_capacity_bytes"),
+    (["--policy", "adpcomb", "--cache-size", "256KiB", "--adaptive=-3"],
+     "adaptive_window_pages"),
+    (["fast_read_nj = inf"], "fast_read_nj"),
+    (["slow_write_nj = -inf"], "slow_write_nj"),
+    (["fast_background_mw_per_gb = inf"], "fast_background_mw_per_gb"),
+], ids=["slow-negative", "slow-negative-past-fast", "fast-0",
+        "adaptive-negative", "energy-inf", "energy-minus-inf",
+        "background-inf"])
+def test_config_that_cannot_run_exits_1_naming_its_field(argv, field,
+                                                        tmp_path, capsys):
+    """A config `validate()` refuses, for the only run, exits 1 with one
+    `error:` line naming the field: no workload is read and no report (so
+    no `Infinity`) is written."""
+    if "=" in argv[0] and not argv[0].startswith("-"):
+        cfgfile = tmp_path / "sim.cfg"
+        cfgfile.write_text(argv[0] + "\n")
+        argv = ["--config", str(cfgfile)]
+    out = tmp_path / "r.json"
+    rc = run_cli("run", "--gen", "sequential", "--requests", "50",
+                 "--fast-size", "1MiB", "--slow-size", "4MiB",
+                 "--bloom-window", "16", *argv, "--out", str(out))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run([sys.executable, "-m", "tiersim.cli", "metacost",
                            "--sets", "65536"], capture_output=True, text=True)

@@ -163,6 +163,7 @@ class TestValidation:
         ("slow_read_nj", [-1.0]),
         ("slow_write_nj", [-1.0]),
         ("fast_background_mw_per_gb", [-1.0]),
+        ("adaptive_window_pages", [-1, -3]),
     ])
     def test_out_of_range_value_names_its_field(self, field, values):
         for value in values:
@@ -201,6 +202,27 @@ class TestValidation:
             SimConfig(page_size_bytes=512, promotion_threshold=5,
                       adaptive_max_threshold=4).validate()
 
+    def test_adaptive_window_zero_still_disables_adaptation(self):
+        cfg = SimConfig(policy=Policy.ADPCOMB, cache_zone_bytes=64 * 1024,
+                        adaptive_window_pages=0)
+        assert cfg.validate() is cfg
+
+    @pytest.mark.parametrize("field", [
+        "fast_read_ns", "fast_write_ns", "slow_read_ns", "slow_write_ns",
+        "fast_read_nj", "fast_write_nj", "slow_read_nj", "slow_write_nj",
+        "fast_background_mw_per_gb"])
+    def test_non_finite_device_number_is_rejected(self, field):
+        # An infinite latency or energy would reach the JSON report as
+        # `Infinity`, which strict parsers refuse.
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ConfigError,
+                               match=f"^{field} must be non-negative and finite$"):
+                SimConfig(**{field: value}).validate()
+        if field.endswith(("_nj", "_per_gb")):
+            cfg = config_from_mapping({field: "inf"})
+            with pytest.raises(ConfigError, match=f"^{field} "):
+                cfg.validate()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_dma_bandwidth_is_rejected(self, value):
         with pytest.raises(ConfigError, match="dma_bandwidth_bytes_per_ns"):
@@ -234,6 +256,14 @@ class TestValidation:
          dict(policy=Policy.STATIC, bloom_window=0)),
         ("dma_bandwidth_bytes_per_ns", "DMA bandwidth must be positive",
          dict(dma_bandwidth_bytes_per_ns=0.0)),
+        ("fast_capacity_bytes", "must not be empty",
+         dict(fast_capacity_bytes=0)),
+        ("fast_capacity_bytes", "must not be empty",
+         dict(policy=Policy.STATIC, fast_capacity_bytes=-4096)),
+        ("slow_capacity_bytes", "cannot be negative",
+         dict(slow_capacity_bytes=-4096)),
+        ("slow_capacity_bytes", "cannot be negative",
+         dict(slow_capacity_bytes=-8 << 20)),
     ])
     def test_structural_error_names_its_field(self, field, wording,
                                               overrides):

@@ -8,6 +8,7 @@ import pytest
 from tiersim import (ConfigError, MemoryRequest, Policy, SimConfig, Simulator,
                      Trace, TraceError, TraceRecord, WorkloadSpec, generate)
 from tiersim import core
+from tiersim.config import CACHING, MIGRATING
 from tiersim.core import write_payload
 
 from conftest import (dump_pagetable, random_records, run_trace, shadow_run,
@@ -230,13 +231,58 @@ class TestShadowContent:
                 assert out.data == peeked
 
 
+class TestReadsReturnBytes:
+    """Content readers hand out `bytes`, never a view of an arena or of the
+    cache zone: a caller may hash, join or keep them past later writes.
+    (An equality assert would pass a leaked `memoryview`.)"""
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_peek_and_read_outcomes_are_bytes(self, policy):
+        cfg = small_config(policy, promotion_threshold=2, bloom_window=8,
+                           dma_bandwidth_bytes_per_ns=0.25)
+        if policy is Policy.ALLDRAM:
+            cfg = small_config(policy, fast_capacity_bytes=1280 * 1024,
+                               slow_capacity_bytes=0)
+        trace = random_records(3000, cfg.host_space_bytes, seed=31,
+                               write_fraction=0.6)
+        sim = Simulator(cfg)
+        served = {"zone": 0, "pair": 0, "slot": 0}
+        for seq, (kind, addr, size) in enumerate(
+                zip(trace.kinds, trace.addrs, trace.sizes)):
+            block_id, job = addr // 128, sim.engine.job
+            in_pair = job is not None and addr >> 12 in (job.src_host,
+                                                         job.dst_host)
+            cached = sim.cache is not None and sim.cache.peek(block_id) is not None
+            peeked = sim.peek(addr, size)
+            assert type(peeked) is bytes
+            out = sim.dispatch(MemoryRequest(kind, addr, size, seq))
+            if kind == "W":
+                assert out.data is None
+                continue
+            assert type(out.data) is bytes and out.data == peeked
+            # A line still resident after its read served the read.
+            if cached and sim.cache.peek(block_id) is not None:
+                served["zone"] += 1
+            else:
+                served["pair" if in_pair else "slot"] += 1
+        assert served["slot"]
+        assert served["pair"] or policy not in MIGRATING
+        assert served["zone"] or policy not in CACHING
+        # The same through one `_serve` batch, continuing the run.
+        outcomes = []
+        sim._serve(trace.kinds, trace.addrs, trace.sizes, len(trace), outcomes)
+        assert [type(out.data) for out in outcomes] == [
+            bytes if kind == "R" else type(None) for kind in trace.kinds]
+
+
 def content_lines():
     """Line numbers of `core.py` where content is allocated: every line of
-    the content helpers, and the lines of the other methods that index the
-    slot arenas, which make an arena on its first reference."""
+    the content helpers, the arena factory among them, and the lines of the
+    other methods that index the slot arenas."""
     numbers = set()
-    for fn in (Simulator._page_mem, Simulator._exchange_chunks,
-               Simulator._serve, Simulator._write_back):
+    for fn in (Simulator._page_mem, Simulator._new_arena,
+               Simulator._exchange_chunks, Simulator._serve,
+               Simulator._write_back):
         lines, first = inspect.getsourcelines(fn)
         helper = fn.__name__ not in ("_serve", "_write_back")
         numbers.update(first + i for i, line in enumerate(lines)
