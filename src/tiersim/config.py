@@ -186,8 +186,8 @@ class SimConfig:
               "dma_bandwidth_bytes_per_ns: DMA bandwidth must be positive and "
               f"finite, got {bandwidth}")
         for name in _NON_NEGATIVE_FIELDS:
-            _need(0 <= getattr(self, name) < math.inf,
-                  f"{name} must be non-negative and finite")
+            _need(0 <= getattr(self, name) <= 2 ** 32,
+                  f"{name} must lie in [0, 2**32]")
         _need(1 <= self.adaptive_min_threshold <= self.adaptive_max_threshold,
               "adaptive_min_threshold must be in [1, adaptive_max_threshold]")
         _need(self.adaptive_max_threshold <= limit,
@@ -208,7 +208,8 @@ def _need(ok: bool, message: str):
         raise ConfigError(message)
 
 
-# Device numbers that are meaningless below zero or infinite.
+# Device numbers, each in [0, 2**32]: with fewer than 2**64 requests, every
+# time and energy a report multiplies out of them stays a finite float.
 _NON_NEGATIVE_FIELDS = (
     "fast_read_ns", "fast_write_ns", "slow_read_ns", "slow_write_ns",
     "fast_read_nj", "fast_write_nj", "slow_read_nj", "slow_write_nj",

@@ -16,8 +16,9 @@ it reads is bound to locals once per batch. Each request is then:
    page was since promoted and is not in flight, and then the line is
    recycled into the page; otherwise from its page's block slot, after a
    write to the chunk being copied stalls until it lands. Each branch tests
-   the kind once, picks the ledger counter and stores a write's bytes; a
-   read finds its slot only to copy bytes for an outcome;
+   the kind once and picks the ledger counter; a write's also stores its
+   bytes. A read does no content work: a kept outcome's bytes come from
+   `peek` once the request is done;
 4. charged one foreground unit: one bump of that counter, plus its latency
    on the clock;
 5. if it touched a slow page outside the pair, acted on as a migrating
@@ -28,8 +29,11 @@ Content is one slot per written block in 64 KiB arenas, indexed per written
 internal page; slot 0 is the shared zero block. Slot references come from
 one counter, and a write's bytes are a slice of a repeating pattern, so a
 request with no policy action makes no Python-level call. Arenas and the
-zone are memoryviews, so a store is one copy; readers get `bytes`. Swaps
-move slot references as the engine advances. README has the full model.
+zone are memoryviews, so a store is one copy. Every reader (`peek`, the
+digest, kept read outcomes, a block copy into the cache) finds a block
+through one resolver, `_block`, and a page's slot through `_slot`, which
+builds no index; `peek` and outcomes hand out `bytes`. Swaps move slot
+references as the engine advances. README has the full model.
 """
 
 from __future__ import annotations
@@ -166,9 +170,24 @@ class Simulator:
         into it copies the bytes once, with no resize check."""
         return memoryview(bytearray(self.arena_mask + 1))
 
-    def _slot_bytes(self, ref: int) -> bytes:
+    def _slot(self, internal: int, i: int) -> memoryview:
+        """Block `i` of an internal page as stored: its slot, or the zero
+        block when the page has no index. Builds no index."""
+        index = self.mem.get(internal)
+        ref = 0 if index is None else index[i]
         lo = ref & self.arena_mask
-        return bytes(self.arenas[ref >> self.arena_shift][lo:lo + self.block_bytes])
+        return self.arenas[ref >> self.arena_shift][lo:lo + self.block_bytes]
+
+    def _block(self, block_id: int) -> memoryview:
+        """The freshest copy of one host block: its cache line when one is
+        resident, else the slot of whichever copy of its page holds it."""
+        cache = self.cache
+        way = None if cache is None else cache.peek(block_id)
+        if way is not None:
+            start = cache.line_offset(block_id, way)
+            return cache.zone[start:start + self.block_bytes]
+        host_page, i = divmod(block_id, self.blocks_per_page)
+        return self._slot(self._locate(host_page, i * self.block_bytes), i)
 
     def _exchange_chunks(self, first: int, stop: int):
         """Land chunks [first, stop) of the in-flight pair, just copied by
@@ -226,7 +245,7 @@ class Simulator:
         """The request path of both `run` and `dispatch`: serve the records
         in the three columns as requests `first_seq`, `first_seq + 1`, ...
         When `outcomes` is a list, append each request's ServiceOutcome to
-        it; otherwise build none and copy no read's bytes."""
+        it, a read's with its bytes from `peek`; otherwise build none."""
         # Everything the loop reads is bound once. The callables are bound
         # here, not at construction, so wrappers installed on the classes
         # or on `slow_touch_action` before a run are the ones called.
@@ -255,7 +274,6 @@ class Simulator:
         controller = self.controller
         touch_action = slow_touch_action
         keep = outcomes is not None
-        data = None
 
         for seq, kind, addr, size in zip(count(first_seq), kinds, addrs, sizes):
             in_block = addr & block_mask
@@ -299,29 +317,18 @@ class Simulator:
                         self._write_back(internal, block_id, line)
                     way = None
 
-            # Each branch picks the ledger counter (its tier and kind) and
-            # stores a write's bytes; a read copies bytes only for an outcome.
+            # Each branch picks the ledger counter (its tier and kind); a
+            # write's also stores its bytes. A read touches no content.
             stall = 0
-            if way is not None:
-                fast = True
-                if kind == "R":
-                    counter = FAST_READ
-                    if keep:
-                        lo = line_offset(block_id, way) + in_block
-                        data = bytes(zone[lo:lo + size])
-                else:
-                    counter = FAST_WRITE
-                    lo = line_offset(block_id, way, True) + in_block
-                    start = seq & 0xFF
-                    zone[lo:lo + size] = pattern[start:start + size]
-            elif kind == "R":
-                fast = internal < fast_pages
+            if kind == "R":
+                fast = way is not None or internal < fast_pages
                 counter = FAST_READ if fast else SLOW_READ
-                # A read in `run` copies no bytes, so it needs no index.
-                if keep:
-                    ref = (mem.get(internal) or page_mem(internal))[block_in_page]
-                    lo = (ref & arena_mask) + in_block
-                    data = bytes(arenas[ref >> arena_shift][lo:lo + size])
+            elif way is not None:
+                fast = True
+                counter = FAST_WRITE
+                lo = line_offset(block_id, way, True) + in_block
+                start = seq & 0xFF
+                zone[lo:lo + size] = pattern[start:start + size]
             else:
                 if in_flight:
                     stall = engine.write_stall_ns(offset_in_page,
@@ -364,10 +371,11 @@ class Simulator:
                                         block_in_page,
                                         ledger.total_foreground_ns - latency)
             if keep:
-                outcomes.append(ServiceOutcome(seq, "fast" if fast else "slow",
-                                               latency, stall_ns=stall,
-                                               data=data))
-                data = None     # so a write's outcome carries none
+                # No policy action changes a block's freshest bytes, so a
+                # read's are those it was served.
+                outcomes.append(ServiceOutcome(
+                    seq, "fast" if fast else "slow", latency, stall_ns=stall,
+                    data=self.peek(addr, size) if kind == "R" else None))
         record(addrs, page_shift, recorded)
 
     def _write_back(self, internal, block_id, data) -> str:
@@ -412,8 +420,7 @@ class Simulator:
     def _copy_block_in(self, host_page, internal, block_id, block_in_page,
                        arrival_ns):
         block = self.block_bytes
-        data = self._slot_bytes(self._page_mem(internal)[block_in_page])
-        victim = self.cache.insert(block_id, data)
+        victim = self.cache.insert(block_id, self._slot(internal, block_in_page))
         self.pagetable.add_cached_block(host_page)
         self.ledger.charge("slow", "read", False, block)
         self.ledger.charge("fast", "write", False, block)
@@ -488,23 +495,11 @@ class Simulator:
         """Resolve the freshest bytes for a host address range, block by
         block, without metering."""
         block = self.block_bytes
-        out = bytearray()
         end = host_addr + size
-        while host_addr < end:
-            block_id, lo = divmod(host_addr, block)
-            hi = min(block, lo + end - host_addr)
-            way = None if self.cache is None else self.cache.peek(block_id)
-            if way is not None:
-                start = self.cache.line_offset(block_id, way)
-                buf = self.cache.zone[start:start + block]
-            else:
-                host_page, offset = divmod(host_addr, self.page_bytes)
-                index = self.mem.get(self._locate(host_page, offset))
-                buf = self._slot_bytes(0 if index is None
-                                       else index[offset // block])
-            out += buf[lo:hi]
-            host_addr += hi - lo
-        return bytes(out)
+        return b"".join(
+            self._block(block_id)[max(0, host_addr - block_id * block):
+                                  end - block_id * block]
+            for block_id in range(host_addr // block, (end - 1) // block + 1))
 
     def _page_flags(self) -> bytes:
         """One byte per host page: 1 if a request has touched one of its
@@ -520,37 +515,8 @@ class Simulator:
     def content_digest(self) -> str:
         """SHA-256 over the touched blocks in block-id order: each block's
         id as 8 little-endian bytes, then its freshest bytes, as `peek`
-        resolves them. Only touched pages are walked. A page's index is
-        found once for all its blocks, except on a page of the in-flight
-        pair, whose blocks may sit in either copy."""
-        block = self.block_bytes
-        bpp = self.blocks_per_page
-        touched = self.touched
-        table, mem = self.pagetable.table, self.mem
-        arenas, arena_shift, arena_mask = self.arenas, self.arena_shift, self.arena_mask
-        cache = self.cache
-        resident = {} if cache is None else cache.resident
-        job = self.engine.job
-        pair = () if job is None else (job.src_host, job.dst_host)
+        resolves them."""
         h = hashlib.sha256()
-        update = h.update
-        for host_page in compress(count(), self._page_flags()):
-            base = host_page * bpp
-            end = base + bpp
-            in_pair = host_page in pair
-            # Off the pair, the remap table holds every byte of the page.
-            index = None if in_pair else mem.get(table[host_page])
-            for block_id in compress(range(base, end), touched[base:end]):
-                way = resident.get(block_id)
-                if way is not None:
-                    start = cache.line_offset(block_id, way)
-                    data = cache.zone[start:start + block]
-                else:
-                    i = block_id - base
-                    if in_pair:
-                        index = mem.get(self._locate(host_page, i * block))
-                    ref = 0 if index is None else index[i]
-                    lo = ref & arena_mask
-                    data = arenas[ref >> arena_shift][lo:lo + block]
-                update(block_id.to_bytes(8, "little") + data)
+        for block_id in compress(count(), self.touched):
+            h.update(block_id.to_bytes(8, "little") + self._block(block_id))
         return h.hexdigest()

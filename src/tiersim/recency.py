@@ -1,10 +1,10 @@
 """Recent-page tracking for the victim search.
 
 Two interchangeable structures: a pair of alternating bloom filters that age
-out in generations, and an exact sliding-window queue used by tests and the
-reference oracle. Both record by column: `record` takes a range of a batch's
-address column and records each address's page, with the effect of
-recording them one at a time.
+out in generations, and an exact sliding-window queue for tests (the
+reference oracle keeps its own deque). Both record by column: `record`
+takes a range of a batch's address column and records each address's page,
+with the effect of recording them one at a time.
 
 The bloom filters record lazily: pages wait in a pending list until a query
 sets their bits. Setting a bit is idempotent and nothing reads the banks in
@@ -129,7 +129,7 @@ class BloomRecencyFilter:
 
 
 class ExactRecencyFilter:
-    """Exact queue of the last `window` recorded pages (test/oracle mode)."""
+    """Exact queue of the last `window` recorded pages (test mode)."""
 
     def __init__(self, window: int):
         self.window = window

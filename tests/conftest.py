@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -91,6 +92,18 @@ def shadow_run(config, trace):
     assert service_ns == report["elapsed_ns"]
     assert fast_outcomes == report["fast_reads"] + report["fast_writes"]
     return sim, report, mismatches
+
+
+def peek_digest(sim):
+    """The content digest from its definition, built on public `peek` alone:
+    every touched block, in id order, as its id and `peek`'s bytes."""
+    block = sim.block_bytes
+    h = hashlib.sha256()
+    for block_id, flag in enumerate(sim.touched):
+        if flag:
+            h.update(block_id.to_bytes(8, "little"))
+            h.update(sim.peek(block_id * block, block))
+    return h.hexdigest()
 
 
 class ReferenceBloom:

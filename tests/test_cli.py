@@ -462,14 +462,18 @@ def test_unparsable_value_names_its_field(field, tmp_path, capsys):
     (["fast_read_nj = inf"], "fast_read_nj"),
     (["slow_write_nj = -inf"], "slow_write_nj"),
     (["fast_background_mw_per_gb = inf"], "fast_background_mw_per_gb"),
+    (["fast_read_ns = 1" + "0" * 400], "fast_read_ns"),
+    (["fast_read_ns = 1" + "0" * 308], "fast_read_ns"),
+    (["fast_read_nj = 1e308"], "fast_read_nj"),
 ], ids=["slow-negative", "slow-negative-past-fast", "fast-0",
         "adaptive-negative", "energy-inf", "energy-minus-inf",
-        "background-inf"])
+        "background-inf", "latency-1e400", "latency-1e308", "energy-1e308"])
 def test_config_that_cannot_run_exits_1_naming_its_field(argv, field,
                                                         tmp_path, capsys):
     """A config `validate()` refuses, for the only run, exits 1 with one
     `error:` line naming the field: no workload is read and no report (so
-    no `Infinity`) is written."""
+    no `Infinity`) is written. A huge latency used to overflow mid-run
+    (exit 70), and a huge energy to report `Infinity`."""
     if "=" in argv[0] and not argv[0].startswith("-"):
         cfgfile = tmp_path / "sim.cfg"
         cfgfile.write_text(argv[0] + "\n")

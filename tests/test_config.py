@@ -213,11 +213,14 @@ class TestValidation:
         "fast_background_mw_per_gb"])
     def test_non_finite_device_number_is_rejected(self, field):
         # An infinite latency or energy would reach the JSON report as
-        # `Infinity`, which strict parsers refuse.
-        for value in (float("inf"), float("-inf"), float("nan")):
+        # `Infinity`, which strict parsers refuse; a huge finite one would
+        # overflow a report's float or multiply out to infinity.
+        for value in (float("inf"), float("-inf"), float("nan"), 2 ** 32 + 1,
+                      10 ** 308, 10 ** 400):
             with pytest.raises(ConfigError,
-                               match=f"^{field} must be non-negative and finite$"):
+                               match=rf"^{field} must lie in \[0, 2\*\*32\]$"):
                 SimConfig(**{field: value}).validate()
+        SimConfig(**{field: 2 ** 32}).validate()
         if field.endswith(("_nj", "_per_gb")):
             cfg = config_from_mapping({field: "inf"})
             with pytest.raises(ConfigError, match=f"^{field} "):

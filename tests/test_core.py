@@ -356,6 +356,24 @@ class TestContentMemory:
         assert held <= pages * 256
         assert sim.peek(0, 4096) == bytes(4096)
 
+    def test_kept_reads_and_block_copies_build_no_index(self):
+        # Only a write, a dirty write-back or a partial landing makes a
+        # page's index; a reader finds a missing one as the zero block.
+        sim = Simulator(wide_config())
+        for p in range(100):
+            out = sim.dispatch(MemoryRequest("R", p * 4096 + 64, 64, p))
+            assert out.data == bytes(64)
+        assert len(sim.mem) == 0
+        sim = Simulator(small_config(Policy.STATCOMB))
+        written = (sim.config.fast_pages + 1) * 4096
+        never = written + 4096 + 0x200
+        sim.run(Trace([TraceRecord("W", written, 64),
+                       TraceRecord("R", never, 64)]))
+        assert sim.block_relocations == 2
+        assert sim.cache.peek(never // 128) is not None
+        assert list(sim.mem) == [sim.pagetable.table[written // 4096]]
+        assert sim.peek(never, 128) == bytes(128)
+
     def test_slot_references_widen_for_a_large_geometry(self):
         assert Simulator(small_config())._blank_index.typecode == "I"
         # 4 GiB of 64 KiB pages: byte offsets past 2**32 need 8-byte entries.

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 
@@ -8,7 +7,7 @@ from tiersim import MemoryRequest, Policy, Simulator, TraceRecord, core, oracle_
 from tiersim.migration import DmaEngine
 from tiersim.policies import slow_touch_action
 
-from conftest import random_records, small_config
+from conftest import peek_digest, random_records, small_config
 
 
 def make_engine(page=4096, chunk=128, bw=8.0,
@@ -262,18 +261,8 @@ class TestLazyLanding:
 
     @pytest.mark.parametrize("policy", (Policy.PAGEMOVE, Policy.ADPCOMB))
     def test_digest_reads_each_block_as_peek_does_mid_swap(self, policy):
-        # The digest locates a page once for all its blocks, except on the
-        # in-flight pair, where a partial landing splits a page's blocks
+        # On the in-flight pair a partial landing splits a page's blocks
         # between its two copies.
-        def by_peek(sim):
-            block = sim.block_bytes
-            h = hashlib.sha256()
-            for block_id, touched in enumerate(sim.touched):
-                if touched:
-                    h.update(block_id.to_bytes(8, "little"))
-                    h.update(sim.peek(block_id * block, block))
-            return h.hexdigest()
-
         cfg = small_config(policy)
         records = random_records(1500, cfg.host_space_bytes, seed=29,
                                  write_fraction=0.6)
@@ -287,7 +276,7 @@ class TestLazyLanding:
                 job = sim.engine.job
                 split += (job is not None
                           and 0 < job.applied_chunks < sim.engine.total_chunks)
-                assert sim.content_digest() == by_peek(sim), f"request {n}"
+                assert sim.content_digest() == peek_digest(sim), f"request {n}"
         assert split >= 10
 
     def test_read_paths_mutate_nothing_mid_swap(self):

@@ -1,5 +1,5 @@
 """The request loop `Simulator._serve`: request validation, the gated access
-bitmap, batch splits, the per-page footprint and digest walk, and a guard
+bitmap, batch splits, the per-page footprint walk and the digest, and a guard
 on how many Python calls a request costs."""
 
 import gc
@@ -15,7 +15,8 @@ from tiersim import (MemoryRequest, Policy, Simulator, Trace, TraceError,
 from tiersim.pagetable import PageTable
 from tiersim.recency import ExactRecencyFilter, make_recency_filter
 
-from conftest import ReferenceBloom, random_records, small_config
+from conftest import (ReferenceBloom, peek_digest, random_records,
+                      small_config)
 
 
 def dispatch_all(sim, trace):
@@ -209,18 +210,6 @@ class TestBatchSplits:
         assert (split.finish(), split.content_digest()) == expected
 
 
-def peek_digest(sim):
-    """The content digest from its definition: every touched block, in id
-    order, as its id and `peek`'s bytes."""
-    block = sim.block_bytes
-    h = hashlib.sha256()
-    for block_id, flag in enumerate(sim.touched):
-        if flag:
-            h.update(block_id.to_bytes(8, "little"))
-            h.update(sim.peek(block_id * block, block))
-    return h.hexdigest()
-
-
 class TestFootprint:
     @pytest.mark.parametrize("blocks_per_page", [1, 2, 32])
     @pytest.mark.parametrize("policy", [Policy.STATIC, Policy.PAGEMOVE])
@@ -270,14 +259,14 @@ class TestFootprint:
 
 # Python-level calls per request over `CALL_REQUESTS` seeded requests,
 # `Simulator.run` and its report included, as measured once a request with
-# no policy action made no call. A new per-request call layer adds at least
-# one.
+# no policy action made no call and a block copy-in read its slot in one
+# call. A new per-request call layer adds at least one.
 CALL_REQUESTS = 4000
 CALLS_PER_REQUEST = {
     Policy.STATIC: 0.066,
     Policy.PAGEMOVE: 2.51475,
-    Policy.STATCOMB: 4.961,
-    Policy.ADPCOMB: 5.13125,
+    Policy.STATCOMB: 4.793,
+    Policy.ADPCOMB: 4.96325,
     Policy.ALLDRAM: 0.066,
 }
 HEADROOM = 1.10
