@@ -181,10 +181,12 @@ class SimConfig:
                   "window must be smaller than the fast page count or the "
                   "victim search cannot terminate")
         _need(self.bloom_window >= 1, "bloom_window: bloom window must be positive")
+        # A page swap moves 2 * p bytes; like a device number, it must take
+        # at most 2**32 ns. Scaling by 2**32 is exact, so this never rounds.
         bandwidth = self.dma_bandwidth_bytes_per_ns
-        _need(math.isfinite(bandwidth) and bandwidth > 0,
+        _need(math.isfinite(bandwidth) and 2 * p <= 2 ** 32 * bandwidth,
               "dma_bandwidth_bytes_per_ns: DMA bandwidth must be positive and "
-              f"finite, got {bandwidth}")
+              f"finite and swap a page within 2**32 ns, got {bandwidth}")
         for name in _NON_NEGATIVE_FIELDS:
             _need(0 <= getattr(self, name) <= 2 ** 32,
                   f"{name} must lie in [0, 2**32]")

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 from itertools import compress, count
 
 from .config import CACHING, MIGRATING, Policy, SimConfig
-from .metering import (FAST_READ, FAST_WRITE, REPORT_SCHEMA_VERSION, SLOW_READ,
-                       SLOW_WRITE, MeterLedger, gib)
+from .metering import (FAST_READ, FAST_WRITE, MIG_FAST_READ, MIG_FAST_WRITE,
+                       MIG_SLOW_READ, MIG_SLOW_WRITE, REPORT_SCHEMA_VERSION,
+                       SLOW_READ, SLOW_WRITE, MeterLedger, gib)
 from .migration import DmaEngine
 from .pagetable import PageTable
 from .policies import COPY_BLOCK, TRY_SWAP, make_controller, slow_touch_action
@@ -98,7 +99,6 @@ class Simulator:
         cfg = self.config
         self.ledger = MeterLedger(cfg)
         # Geometry as plain ints, so the request path reads no config property.
-        self.page_bytes = cfg.page_size_bytes
         self.block_bytes = cfg.block_size_bytes
         self.blocks_per_page = cfg.blocks_per_page
         self.host_space_bytes = cfg.host_space_bytes
@@ -145,7 +145,7 @@ class Simulator:
         # The request path's constants: geometry as shifts and masks (pages
         # and blocks are powers of two), and the access bitmap, which only
         # an enabled adaptive controller reads, so only then is it written.
-        block, page = self.block_bytes, self.page_bytes
+        block, page = self.block_bytes, cfg.page_size_bytes
         self._path_geometry = (
             block, block.bit_length() - 1, block - 1, page.bit_length() - 1,
             page - 1, self.host_space_bytes,
@@ -378,9 +378,9 @@ class Simulator:
                     data=self.peek(addr, size) if kind == "R" else None))
         record(addrs, page_shift, recorded)
 
-    def _write_back(self, internal, block_id, data) -> str:
+    def _write_back(self, internal, block_id, data) -> bool:
         """Merge a dirty cache line into its page as background traffic;
-        returns the tier written."""
+        returns whether the page is fast."""
         index = self._page_mem(internal)
         i = block_id % self.blocks_per_page
         ref = index[i]
@@ -388,9 +388,9 @@ class Simulator:
             ref = index[i] = self._next_ref()
         lo = ref & self.arena_mask
         self.arenas[ref >> self.arena_shift][lo:lo + len(data)] = data
-        tier = "fast" if self.pagetable.in_fast(internal) else "slow"
-        self.ledger.charge(tier, "write", False, len(data))
-        return tier
+        fast = internal < self.pagetable.fast_pages
+        self.ledger.charge(MIG_FAST_WRITE if fast else MIG_SLOW_WRITE, 1)
+        return fast
 
     # Policy side effects ---------------------------------------------------
 
@@ -407,23 +407,22 @@ class Simulator:
         self.pagetable.reset_bitmap(host_page)
         self.engine.start_swap(host_page, internal, dst_host, dst_internal,
                                self.ledger.total_foreground_ns)
-        page = self.page_bytes
         # Both pages move: each tier sees a full page of reads and writes.
-        self.ledger.charge("slow", "read", False, page)
-        self.ledger.charge("fast", "write", False, page)
-        self.ledger.charge("fast", "read", False, page)
-        self.ledger.charge("slow", "write", False, page)
+        blocks = self.blocks_per_page
+        self.ledger.charge(MIG_SLOW_READ, blocks)
+        self.ledger.charge(MIG_FAST_WRITE, blocks)
+        self.ledger.charge(MIG_FAST_READ, blocks)
+        self.ledger.charge(MIG_SLOW_WRITE, blocks)
         self.page_relocations += 1
         self.pagetable.search_candidate(
             excluded_internal=(internal, dst_internal))
 
     def _copy_block_in(self, host_page, internal, block_id, block_in_page,
                        arrival_ns):
-        block = self.block_bytes
         victim = self.cache.insert(block_id, self._slot(internal, block_in_page))
         self.pagetable.add_cached_block(host_page)
-        self.ledger.charge("slow", "read", False, block)
-        self.ledger.charge("fast", "write", False, block)
+        self.ledger.charge(MIG_SLOW_READ, 1)
+        self.ledger.charge(MIG_FAST_WRITE, 1)
         self.block_relocations += 1
         if victim is not None:
             self._evict_victim(victim, arrival_ns)
@@ -438,8 +437,7 @@ class Simulator:
             return
         v_offset = (vtag % self.blocks_per_page) * self.block_bytes
         self.engine.advance_to(arrival_ns)
-        if self._write_back(self._locate(v_host, v_offset), vtag,
-                            vdata) == "fast":
+        if self._write_back(self._locate(v_host, v_offset), vtag, vdata):
             self.recycles += 1
         else:
             self.writebacks += 1

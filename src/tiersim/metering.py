@@ -1,9 +1,10 @@
 """Time, energy and traffic accounting, plus the hardware metadata-cost
-calculator for the remap table and cache-zone tags."""
+calculator for the remap table and cache-zone tags. Each access is counted
+in blocks on one of eight counters, named by index: the request loop bumps a
+foreground one and adds its latency; `charge` counts background blocks."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,19 +18,10 @@ _MW_NS_TO_NJ = 1e-3
 _GIB = 1024 ** 3
 
 
-# Index of each access counter, by (tier, kind, foreground); the order is
+# Index of each access counter in MeterLedger.counts, in the order of
 # MeterLedger.FG_FIELDS followed by MeterLedger.MIG_FIELDS.
-_COUNTER_INDEX = {(tier, kind, foreground): i for i, (foreground, tier, kind)
-                  in enumerate(itertools.product((True, False),
-                                                 ("fast", "slow"),
-                                                 ("read", "write")))}
-
-
-# Index of each foreground counter in MeterLedger.counts, by (tier, kind).
-FAST_READ = _COUNTER_INDEX["fast", "read", True]
-FAST_WRITE = _COUNTER_INDEX["fast", "write", True]
-SLOW_READ = _COUNTER_INDEX["slow", "read", True]
-SLOW_WRITE = _COUNTER_INDEX["slow", "write", True]
+FAST_READ, FAST_WRITE, SLOW_READ, SLOW_WRITE = range(4)
+MIG_FAST_READ, MIG_FAST_WRITE, MIG_SLOW_READ, MIG_SLOW_WRITE = range(4, 8)
 
 
 def _counter(index: int) -> property:
@@ -44,31 +36,24 @@ class MeterLedger:
     MIG_FIELDS = ("mig_fast_reads", "mig_fast_writes",
                   "mig_slow_reads", "mig_slow_writes")
 
-    fast_reads, fast_writes, slow_reads, slow_writes = map(_counter, range(4))
-    (mig_fast_reads, mig_fast_writes,
-     mig_slow_reads, mig_slow_writes) = map(_counter, range(4, 8))
+    (fast_reads, fast_writes, slow_reads, slow_writes, mig_fast_reads,
+     mig_fast_writes, mig_slow_reads, mig_slow_writes) = map(_counter, range(8))
 
     def __init__(self, config):
         self.config = config
         self.block_size = config.block_size_bytes
-        self.counts = [0] * len(_COUNTER_INDEX)
-        # Latency per unit of each counter; background traffic takes none.
+        self.counts = [0] * 8
+        # Latency per unit of each foreground counter.
         self.unit_ns = [config.fast_read_ns, config.fast_write_ns,
-                        config.slow_read_ns, config.slow_write_ns, 0, 0, 0, 0]
+                        config.slow_read_ns, config.slow_write_ns]
         # The simulated clock: foreground accesses and write stalls advance it.
         self.total_foreground_ns = 0
         self.stall_ns = 0
         self.write_stalls = 0
 
-    def charge(self, tier: str, kind: str, foreground: bool, nbytes: int):
-        """Count an access and return the foreground time it took."""
-        # Ceiling division; an empty access still counts one unit.
-        units = -(-nbytes // self.block_size) or 1
-        index = _COUNTER_INDEX[tier, kind, foreground]
+    def charge(self, index: int, units: int):
+        """Count `units` blocks of background traffic on counter `index`."""
         self.counts[index] += units
-        latency = self.unit_ns[index] * units
-        self.total_foreground_ns += latency
-        return latency
 
     def charge_stall(self, ns: int):
         self.stall_ns += ns

@@ -55,9 +55,6 @@ class PageTable:
             raise IndexError(f"host page {host_page} out of range")
         return self.table[host_page]
 
-    def in_fast(self, internal_page: int) -> bool:
-        return internal_page < self.fast_pages
-
     # Access metadata ---------------------------------------------------
 
     def record_access(self, host_page: int, block_index: int):

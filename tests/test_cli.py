@@ -381,6 +381,10 @@ class TestMetacost:
       "--write-fraction", "1.5"], "write-fraction: "),
     (["run", *BASE, "--gen", "zipfian", "--pages", "1000000",
       "--requests", "3"], "footprint: "),
+    (["run", *BASE, "--gen", "zipfian", "--pages", "40", "--requests", "300",
+      "--dma-bw", "1e-306"], "dma_bandwidth_bytes_per_ns: "),
+    (["run", *BASE, "--gen", "zipfian", "--pages", "40", "--requests", "300",
+      "--dma-bw", "5e-324"], "dma_bandwidth_bytes_per_ns: "),
 ], ids=["block-0", "block-3", "block-past-page", "sets-negative",
         "sets-3", "space-0", "gen-pages-0", "block-not-a-size",
         "page-not-a-size", "space-not-a-size", "run-pages-negative",
@@ -389,7 +393,8 @@ class TestMetacost:
         "run-zipf-s-minus-inf", "zipf-s-weight-overflows",
         "zipf-s-weight-underflows", "req-size-0", "req-size-negative",
         "req-size-not-a-divisor", "requests-0", "run-requests-negative",
-        "write-fraction-above-1", "run-footprint-beyond-host-space"])
+        "write-fraction-above-1", "run-footprint-beyond-host-space",
+        "run-dma-bw-swap-past-2-32-ns", "run-dma-bw-subnormal"])
 def test_bad_geometry_argument_exits_1(argv, named, tmp_path, capsys):
     """A bad metacost geometry or workload argument is a user error: one
     `error:` line that names the flag, and no output and no traceback."""

@@ -1,9 +1,14 @@
+import math
+
 import pytest
 
+from tiersim import Simulator, oracle_run
 from tiersim.cli import config_for_policy
 from tiersim.config import (ConfigError, Policy, SimConfig,
                             config_from_mapping, load_config_file, parse_size)
 from tiersim.pagetable import COUNTER_MAX
+
+from conftest import random_records, small_config
 
 
 def format_size(n: int) -> str:
@@ -230,6 +235,27 @@ class TestValidation:
     def test_non_finite_dma_bandwidth_is_rejected(self, value):
         with pytest.raises(ConfigError, match="dma_bandwidth_bytes_per_ns"):
             SimConfig(dma_bandwidth_bytes_per_ns=value).validate()
+
+    @pytest.mark.parametrize("page", [4096, 64 * 1024])
+    def test_page_swap_past_2_32_ns_is_rejected(self, page):
+        # A swap moves 2 * page bytes; past 2**32 ns its due time overflowed.
+        smallest = 2 * page / 2 ** 32
+        for value in (math.nextafter(smallest, 0), smallest / 2, 1e-306,
+                      5e-324):
+            with pytest.raises(ConfigError, match=r"^dma_bandwidth_bytes_per_ns"
+                               r": .* swap a page within 2\*\*32 ns"):
+                SimConfig(page_size_bytes=page, bloom_window=16,
+                          dma_bandwidth_bytes_per_ns=value).validate()
+        SimConfig(page_size_bytes=page, bloom_window=16,
+                  dma_bandwidth_bytes_per_ns=smallest).validate()
+
+    def test_smallest_bandwidth_runs_as_the_oracle_does(self):
+        cfg = small_config(dma_bandwidth_bytes_per_ns=2 * 4096 / 2 ** 32,
+                           exact_recency=True)
+        recs = random_records(300, cfg.host_space_bytes, seed=3)
+        report = Simulator(cfg).run(recs)
+        assert report == oracle_run(recs, cfg)[0]
+        assert report["page_relocations"] == 1
 
     @pytest.mark.parametrize("field,wording,overrides", [
         ("page_size_bytes", "is not a power of two",

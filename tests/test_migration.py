@@ -208,13 +208,13 @@ class TestConflictRouting:
     def test_completion_updates_mapping_exactly_once(self):
         sim, page = self._swapping_sim()
         internal_before = sim.pagetable.lookup(page)
-        assert not sim.pagetable.in_fast(internal_before)
+        assert internal_before >= sim.pagetable.fast_pages
         seq = 1
         for _ in range(40):
             sim.dispatch(MemoryRequest("R", 0, 64, seq)); seq += 1
         assert not sim.engine.busy
         assert sim.engine.completed_swaps == 1
-        assert sim.pagetable.in_fast(sim.pagetable.lookup(page))
+        assert sim.pagetable.lookup(page) < sim.pagetable.fast_pages
 
     def test_no_lost_writes_across_swap(self):
         # Write to every block while its page swaps; all data must survive.

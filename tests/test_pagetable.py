@@ -26,8 +26,8 @@ class TestLookup:
 
     def test_zone_of_high_pages(self):
         pt = make_table(fast=8, total=32)
-        assert pt.in_fast(pt.lookup(3))
-        assert not pt.in_fast(pt.lookup(20))
+        assert pt.lookup(3) < pt.fast_pages
+        assert pt.lookup(20) >= pt.fast_pages
 
     def test_out_of_range(self):
         pt = make_table()
@@ -41,16 +41,16 @@ class TestLookup:
         pt.swap_mappings(hot_host, victim_host)
         assert pt.lookup(hot_host) == 3
         assert pt.lookup(victim_host) == 20
-        assert pt.in_fast(pt.lookup(hot_host))
+        assert pt.lookup(hot_host) < pt.fast_pages
 
     def test_zone_split_at_large_scale(self):
         # fast zone pages 0..39999, slow beyond; a hot slow page lands on
         # fast page 38 once swapped with it.
         pt = PageTable(40000, 48000, 32, ExactRecencyFilter(16))
-        assert not pt.in_fast(pt.lookup(40027))
+        assert pt.lookup(40027) >= pt.fast_pages
         pt.swap_mappings(40027, 38)
         assert pt.lookup(40027) == 38
-        assert pt.in_fast(pt.lookup(40027))
+        assert pt.lookup(40027) < pt.fast_pages
         assert pt.lookup(38) == 40027
 
 

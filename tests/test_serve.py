@@ -259,14 +259,15 @@ class TestFootprint:
 
 # Python-level calls per request over `CALL_REQUESTS` seeded requests,
 # `Simulator.run` and its report included, as measured once a request with
-# no policy action made no call and a block copy-in read its slot in one
-# call. A new per-request call layer adds at least one.
+# no policy action made no call, a block copy-in read its slot in one call
+# and a write-back found its tier with no call. A new per-request call layer
+# adds at least one.
 CALL_REQUESTS = 4000
 CALLS_PER_REQUEST = {
     Policy.STATIC: 0.066,
     Policy.PAGEMOVE: 2.51475,
-    Policy.STATCOMB: 4.793,
-    Policy.ADPCOMB: 4.96325,
+    Policy.STATCOMB: 4.7915,
+    Policy.ADPCOMB: 4.96175,
     Policy.ALLDRAM: 0.066,
 }
 HEADROOM = 1.10

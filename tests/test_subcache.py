@@ -336,7 +336,7 @@ class TestRecycling:
         # Let the swap complete (advance time with unrelated fast traffic).
         for _ in range(40):
             sim.dispatch(MemoryRequest("R", 0, 64, seq)); seq += 1
-        assert sim.pagetable.in_fast(sim.pagetable.lookup(page))
+        assert sim.pagetable.lookup(page) < sim.pagetable.fast_pages
         # Touch a cached block of the now-fast page: proactive recycle.
         before = sim.recycles
         out = sim.dispatch(MemoryRequest("R", page * 4096, 64, seq))
