@@ -12,44 +12,34 @@ import os
 import sys
 import traceback
 
-from .config import (CACHING, ConfigError, Policy, SimConfig,
+from .config import (CACHING, FIELDS, ConfigError, Policy, SimConfig,
                      config_from_mapping, load_config_file, parse_size)
 from .core import Simulator
 from .metering import REPORT_SCHEMA_VERSION, metadata_cost
 from .trace import (WORKLOAD_KINDS, TraceBoundError, TraceError, WorkloadSpec,
                     generate, load_trace, write_trace)
 
-# Config fields `sweep --param` accepts; each value is parsed as that field.
-SWEEPABLE = ("promotion_threshold", "cache_zone_bytes", "bloom_window",
-             "dma_bandwidth_bytes_per_ns", "fast_capacity_bytes",
-             "adaptive_window_pages")
-
 # Exit status for a simulator defect, as opposed to a user error (1);
 # sysexits.h calls it EX_SOFTWARE.
 EXIT_DEFECT = 70
 
 
-# Config flags: (flag, SimConfig field, help). A flag's value is stored
-# under its field and parsed by `config_from_mapping`, as a `--config` line is.
-CONFIG_FLAGS = (
-    ("--fast-size", "fast_capacity_bytes", "fast tier capacity (e.g. 128MiB)"),
-    ("--slow-size", "slow_capacity_bytes", "slow tier capacity"),
-    ("--page-size", "page_size_bytes", "page size (default 4KiB)"),
-    ("--block-size", "block_size_bytes", "block size (default 128)"),
-    ("--cache-size", "cache_zone_bytes", "cache zone size (combined policies)"),
-    ("--threshold", "promotion_threshold", "promotion threshold"),
-    ("--adaptive", "adaptive_window_pages",
-     "adaptive evaluation window in promotions (0 disables)"),
-    ("--bloom-window", "bloom_window", "recency window in pages"),
-    ("--dma-bw", "dma_bandwidth_bytes_per_ns", "DMA bandwidth, bytes/ns"),
-    ("--seed", "rng_seed", "simulator RNG seed"),
-)
+# Config flags, from the field declarations. Each value is stored under its
+# field and parsed by `config_from_mapping`, as a `--config` line is.
+FLAGGED = [f for f in FIELDS.values() if f.metadata["flag"]]
 
 
-def _add_config_flags(p):
+def _add_run_flags(p, policy: str):
+    """The options `run` and `sweep` share: config, workload and output."""
     p.add_argument("--config", help="key=value config file")
-    for flag, field, text in CONFIG_FLAGS:
-        p.add_argument(flag, dest=field, help=text)
+    for field in FLAGGED:
+        flag, text = field.metadata["flag"]
+        p.add_argument(flag, dest=field.name, help=text)
+    _add_workload_flags(p)
+    p.add_argument("--policy", default=policy,
+                   help="comma-separated list: static,pagemove,statcomb,adpcomb,alldram")
+    p.add_argument("--out", help="output file (default: stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _add_workload_flags(p):
@@ -74,22 +64,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one trace under one or more policies")
-    _add_config_flags(p_run)
-    _add_workload_flags(p_run)
-    p_run.add_argument("--policy", default="pagemove",
-                       help="comma-separated list: static,pagemove,statcomb,adpcomb,alldram")
-    p_run.add_argument("--out", help="output file (default: stdout)")
-    p_run.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_run_flags(p_run, "pagemove")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    _add_config_flags(p_sweep)
-    _add_workload_flags(p_sweep)
-    p_sweep.add_argument("--policy", default="statcomb")
-    p_sweep.add_argument("--param", required=True, choices=sorted(SWEEPABLE))
+    _add_run_flags(p_sweep, "statcomb")
+    p_sweep.add_argument("--param", required=True, choices=sorted(
+        name for name, field in FIELDS.items() if field.metadata["sweep"]))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated parameter values")
-    p_sweep.add_argument("--out", help="output file (default: stdout)")
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_gen = sub.add_parser("gen", help="write a synthetic trace to a file")
     _add_workload_flags(p_gen)
@@ -106,10 +88,10 @@ def build_parser():
 
 def base_config(args) -> SimConfig:
     mapping = load_config_file(args.config) if args.config else {}
-    for _, field, _ in CONFIG_FLAGS:
-        value = getattr(args, field)
+    for field in FLAGGED:
+        value = getattr(args, field.name)
         if value is not None:
-            mapping[field] = value
+            mapping[field.name] = value
     return config_from_mapping(mapping)
 
 
@@ -188,8 +170,9 @@ def _comparison(reports):
     return table
 
 
-def _emit(payload, reports, out, fmt):
-    if fmt == "json":
+def _emit(payload, reports, args) -> int:
+    """Write the command's output; its exit status is 1 when a run failed."""
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     else:
         buf = io.StringIO()
@@ -199,13 +182,14 @@ def _emit(payload, reports, out, fmt):
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
-    if out:
-        tmp = out + ".tmp"
+    if args.out:
+        tmp = args.out + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(text)
-        os.replace(tmp, out)
+        os.replace(tmp, args.out)
     else:
         sys.stdout.write(text)
+    return 1 if any("error" in rep for rep in reports) else 0
 
 
 def _policies(args):
@@ -261,8 +245,7 @@ def cmd_run(args) -> int:
     comparison = _comparison(reports)
     if comparison is not None:
         payload["comparison"] = comparison
-    _emit(payload, reports, args.out, args.format)
-    return 1 if any("error" in rep for rep in reports) else 0
+    return _emit(payload, reports, args)
 
 
 def cmd_sweep(args) -> int:
@@ -276,8 +259,7 @@ def cmd_sweep(args) -> int:
                for report, (_, changes) in zip(_run_labeled(args, base, runs), runs)]
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": "sweep",
                "param": args.param, "values": values, "reports": reports}
-    _emit(payload, reports, args.out, args.format)
-    return 1 if any("error" in rep for rep in reports) else 0
+    return _emit(payload, reports, args)
 
 
 def cmd_gen(args) -> int:
@@ -316,24 +298,17 @@ def cmd_metacost(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {"run": cmd_run, "sweep": cmd_sweep, "gen": cmd_gen,
+               "metacost": cmd_metacost}[args.command]
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "metacost":
-            return cmd_metacost(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
         traceback.print_exc()
         return EXIT_DEFECT
-    parser.error("no command")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .pagetable import COUNTER_MAX
@@ -38,8 +37,6 @@ def parse_size(text) -> int:
     """Parse a byte size like '128MiB', '1.5KiB', '512' into an int. A size
     that is not a whole number of bytes ('127.9b', '1.0001KiB') is a
     ConfigError, not a truncated int."""
-    if isinstance(text, int):
-        return text
     s = str(text).strip().lower().replace("_", "")
     try:
         return int(s, 0)
@@ -63,48 +60,81 @@ class ConfigError(ValueError):
     """Raised when a configuration violates a structural constraint."""
 
 
+def _field(default, kind, bounds=None, read_by=tuple(Policy), flag=None,
+           sweep=False):
+    """Declare a SimConfig field, once: `kind` keys its parser in `PARSERS`;
+    `validate()` keeps it in `bounds` (written '[0, 2**32]', '(0, 1]',
+    '[1, inf)') under every policy, and in its geometry bounds under the
+    `read_by` policies; `flag` is its run/sweep option and help text; and
+    `sweep` says whether `sweep --param` takes it."""
+    return field(default=default, metadata=dict(
+        kind=kind, bounds=bounds, read_by=read_by, flag=flag, sweep=sweep))
+
+
+# Device numbers: with fewer than 2**64 requests, every time and energy a
+# report multiplies out of them stays a finite float.
+_DEVICE = "[0, 2**32]"
+_ADAPTIVE = (Policy.ADPCOMB,)
+
+
 @dataclass
 class SimConfig:
     # Capacities.  The cache zone is carved out of fast memory, so the
     # host-visible space is (fast - cache_zone) + slow.
-    fast_capacity_bytes: int = 128 * 1024 ** 2
-    slow_capacity_bytes: int = 1024 ** 3
-    page_size_bytes: int = 4096
-    block_size_bytes: int = 128
-    cache_zone_bytes: int = 0
+    fast_capacity_bytes: int = _field(
+        128 * 1024 ** 2, "size", sweep=True,
+        flag=("--fast-size", "fast tier capacity (e.g. 128MiB)"))
+    slow_capacity_bytes: int = _field(
+        1024 ** 3, "size", flag=("--slow-size", "slow tier capacity"))
+    page_size_bytes: int = _field(
+        4096, "size", flag=("--page-size", "page size (default 4KiB)"))
+    block_size_bytes: int = _field(
+        128, "size", flag=("--block-size", "block size (default 128)"))
+    cache_zone_bytes: int = _field(
+        0, "size", read_by=CACHING, sweep=True,
+        flag=("--cache-size", "cache zone size (combined policies)"))
 
     # Device timing (ns per access) and energy (nJ per block-sized access).
-    fast_read_ns: int = 50
-    fast_write_ns: int = 50
-    slow_read_ns: int = 100
-    slow_write_ns: int = 300
-    fast_read_nj: float = 4.2
-    fast_write_nj: float = 3.5
-    slow_read_nj: float = 1.28
-    slow_write_nj: float = 8.7
-    fast_background_mw_per_gb: float = 30.0
+    fast_read_ns: int = _field(50, "int", _DEVICE)
+    fast_write_ns: int = _field(50, "int", _DEVICE)
+    slow_read_ns: int = _field(100, "int", _DEVICE)
+    slow_write_ns: int = _field(300, "int", _DEVICE)
+    fast_read_nj: float = _field(4.2, "float", _DEVICE)
+    fast_write_nj: float = _field(3.5, "float", _DEVICE)
+    slow_read_nj: float = _field(1.28, "float", _DEVICE)
+    slow_write_nj: float = _field(8.7, "float", _DEVICE)
+    fast_background_mw_per_gb: float = _field(30.0, "float", _DEVICE)
 
     # Migration engine.
-    dma_bandwidth_bytes_per_ns: float = 8.0
+    dma_bandwidth_bytes_per_ns: float = _field(
+        8.0, "float", "(0, inf)", MIGRATING, sweep=True,
+        flag=("--dma-bw", "DMA bandwidth, bytes/ns"))
 
     # Placement policy.
-    policy: Policy = Policy.PAGEMOVE
-    promotion_threshold: int = 4
-    bloom_window: int = 2048
-    rng_seed: int = 0
+    policy: Policy = _field(Policy.PAGEMOVE, "policy")
+    promotion_threshold: int = _field(
+        4, "int", "[1, inf)", CACHING, sweep=True,
+        flag=("--threshold", "promotion threshold"))
+    bloom_window: int = _field(
+        2048, "int", "[1, inf)", MIGRATING, sweep=True,
+        flag=("--bloom-window", "recency window in pages"))
+    rng_seed: int = _field(
+        0, "int", read_by=(Policy.STATIC,), flag=("--seed", "simulator RNG seed"))
 
-    # Adaptive-threshold controller (only read under the adaptive policy;
-    # adaptive_window_pages == 0 disables adaptation entirely).
-    adaptive_min_threshold: int = 1
-    adaptive_max_threshold: int = 8
-    adaptive_window_pages: int = 64
-    adaptive_alpha: float = 0.25
-    adaptive_hi_water: float = 0.75
-    adaptive_lo_water: float = 0.25
+    # Adaptive-threshold controller (adaptive_window_pages == 0 disables
+    # adaptation entirely).
+    adaptive_min_threshold: int = _field(1, "int", "[1, inf)", _ADAPTIVE)
+    adaptive_max_threshold: int = _field(8, "int", "[1, inf)", _ADAPTIVE)
+    adaptive_window_pages: int = _field(
+        64, "int", "[0, inf)", _ADAPTIVE, sweep=True, flag=(
+            "--adaptive", "adaptive evaluation window in promotions (0 disables)"))
+    adaptive_alpha: float = _field(0.25, "float", "(0, 1]", _ADAPTIVE)
+    adaptive_hi_water: float = _field(0.75, "float", "[0, 1]", _ADAPTIVE)
+    adaptive_lo_water: float = _field(0.25, "float", "[0, 1]", _ADAPTIVE)
 
     # Test hook: replace the bloom filter with an exact sliding-window queue
     # so runs are bit-comparable against the reference oracle.
-    exact_recency: bool = False
+    exact_recency: bool = _field(False, "bool", read_by=MIGRATING)
 
     # Derived geometry ------------------------------------------------
 
@@ -171,38 +201,43 @@ class SimConfig:
         # A threshold is compared with the per-page cached-block counter,
         # which cannot count past a page's blocks or its 4-bit maximum.
         limit = min(self.blocks_per_page, COUNTER_MAX)
-        _need(1 <= self.promotion_threshold <= limit,
-              f"promotion_threshold {self.promotion_threshold} must be in "
-              f"[1, {limit}]")
+        if self._reads("promotion_threshold"):
+            _need(self.promotion_threshold <= limit,
+                  f"promotion_threshold {self.promotion_threshold} must be in "
+                  f"[1, {limit}]")
+        if self._reads("adaptive_max_threshold"):
+            _need(self.adaptive_max_threshold <= limit,
+                  f"adaptive_max_threshold {self.adaptive_max_threshold} must "
+                  f"be at most {limit}")
         if self.policy in MIGRATING:
             _need(self.fast_pages >= 1, "fast_capacity_bytes: no page-managed "
                   "fast pages available")
             _need(self.bloom_window < self.fast_pages, "bloom_window: bloom "
                   "window must be smaller than the fast page count or the "
                   "victim search cannot terminate")
-        _need(self.bloom_window >= 1, "bloom_window: bloom window must be positive")
         # A page swap moves 2 * p bytes; like a device number, it must take
         # at most 2**32 ns. Scaling by 2**32 is exact, so this never rounds.
-        bandwidth = self.dma_bandwidth_bytes_per_ns
-        _need(math.isfinite(bandwidth) and 2 * p <= 2 ** 32 * bandwidth,
-              "dma_bandwidth_bytes_per_ns: DMA bandwidth must be positive and "
-              f"finite and swap a page within 2**32 ns, got {bandwidth}")
-        for name in _NON_NEGATIVE_FIELDS:
-            _need(0 <= getattr(self, name) <= 2 ** 32,
-                  f"{name} must lie in [0, 2**32]")
-        _need(1 <= self.adaptive_min_threshold <= self.adaptive_max_threshold,
+        if self._reads("dma_bandwidth_bytes_per_ns"):
+            bandwidth = self.dma_bandwidth_bytes_per_ns
+            _need(2 * p <= 2 ** 32 * bandwidth, "dma_bandwidth_bytes_per_ns: "
+                  "DMA bandwidth must be positive and finite and swap a page "
+                  f"within 2**32 ns, got {bandwidth}")
+        for f in fields(self):
+            bounds = f.metadata["bounds"]
+            _need(bounds is None or _within(getattr(self, f.name), bounds),
+                  f"{f.name} must lie in {bounds}")
+        _need(self.adaptive_min_threshold <= self.adaptive_max_threshold,
               "adaptive_min_threshold must be in [1, adaptive_max_threshold]")
-        _need(self.adaptive_max_threshold <= limit,
-              f"adaptive_max_threshold {self.adaptive_max_threshold} must be "
-              f"at most {limit}")
-        _need(self.adaptive_window_pages >= 0, "adaptive_window_pages must "
-              "be non-negative (0 disables adaptation)")
-        _need(0 < self.adaptive_alpha <= 1, "adaptive_alpha must be in (0, 1]")
-        for name in ("adaptive_lo_water", "adaptive_hi_water"):
-            _need(0 <= getattr(self, name) <= 1, f"{name} must be in [0, 1]")
         _need(self.adaptive_lo_water <= self.adaptive_hi_water,
               "adaptive_lo_water must not exceed adaptive_hi_water")
         return self
+
+    def _reads(self, name: str) -> bool:
+        """Whether this config's policy reads field `name`."""
+        return self.policy in FIELDS[name].metadata["read_by"]
+
+
+FIELDS = {f.name: f for f in fields(SimConfig)}
 
 
 def _need(ok: bool, message: str):
@@ -210,64 +245,53 @@ def _need(ok: bool, message: str):
         raise ConfigError(message)
 
 
-# Device numbers, each in [0, 2**32]: with fewer than 2**64 requests, every
-# time and energy a report multiplies out of them stays a finite float.
-_NON_NEGATIVE_FIELDS = (
-    "fast_read_ns", "fast_write_ns", "slow_read_ns", "slow_write_ns",
-    "fast_read_nj", "fast_write_nj", "slow_read_nj", "slow_write_nj",
-    "fast_background_mw_per_gb",
-)
+def _within(value, interval: str) -> bool:
+    """Whether `value` lies in `interval`, written like '(0, 2**32]'."""
+    lo, hi = map(_endpoint, interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
 
 
-_SIZE_FIELDS = {
-    "fast_capacity_bytes", "slow_capacity_bytes", "page_size_bytes",
-    "block_size_bytes", "cache_zone_bytes",
-}
+def _endpoint(text: str) -> float:
+    base, _, power = text.partition("**")
+    return float(base) ** int(power or 1)
 
 
 def config_from_mapping(mapping: dict) -> SimConfig:
     """Build a SimConfig from string-valued keys (config file / CLI). A
     value that does not parse is a ConfigError naming its field."""
     kwargs = {}
-    known = {f.name: f.type for f in fields(SimConfig)}
     for key, value in mapping.items():
         name = key.strip().replace("-", "_")
-        if name not in known:
+        if name not in FIELDS:
             raise ConfigError(f"unknown config key: {key}")
+        expected, parse = PARSERS[FIELDS[name].metadata["kind"]]
         try:
-            kwargs[name] = _parse_value(name, known[name], value)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
+            kwargs[name] = parse(str(value).strip())
+        except (KeyError, ValueError):
+            raise ConfigError(f"{name}: expected {expected}, got {value!r}") from None
     return SimConfig(**kwargs)
 
 
-def _parse_value(name: str, kind: str, value):
-    """Field `name`'s value, of annotated type `kind`, from `value`. Values
-    that are not strings pass through, except sizes and booleans."""
-    if name in _SIZE_FIELDS:
-        return parse_size(value)
-    if kind == "bool":
-        word = str(value).strip().lower()
-        _need(word in ("true", "false", "yes", "no", "on", "off", "1", "0"),
-              f"expected true/false/yes/no/on/off/1/0, got {value!r}")
-        return word in ("true", "yes", "on", "1")
-    if not isinstance(value, str):
-        return value
-    try:
-        if kind == "Policy":
-            return Policy(value.strip().lower())
-        if kind == "float":
-            return float(value)
-        number = float(value) if "." in value else int(value, 0)
-        if number % 1 == 0:
-            return int(number)
-    except ValueError:
-        pass
-    raise ConfigError(f"expected {_EXPECTED[kind]}, got {value!r}")
+def _whole_number(text: str) -> int:
+    number = float(text) if "." in text else int(text, 0)
+    if number % 1:   # also true of nan, and so of inf % 1
+        raise ValueError(text)
+    return int(number)
 
 
-_EXPECTED = {"int": "an integer", "float": "a number",
-             "Policy": "one of " + ", ".join(policy.value for policy in Policy)}
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+# Each kind: what its values must be, and a parser that refuses the others.
+PARSERS = {
+    "size": ("a whole number of bytes", parse_size),
+    "int": ("an integer", _whole_number),
+    "float": ("a number", float),
+    "bool": ("true/false/yes/no/on/off/1/0", lambda text: _BOOLS[text.lower()]),
+    "policy": ("one of " + ", ".join(policy.value for policy in Policy),
+               lambda text: Policy(text.lower())),
+}
 
 
 def load_config_file(path) -> dict:

@@ -38,7 +38,6 @@ references as the engine advances. README has the full model.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -514,6 +513,7 @@ class Simulator:
         """SHA-256 over the touched blocks in block-id order: each block's
         id as 8 little-endian bytes, then its freshest bytes, as `peek`
         resolves them."""
+        import hashlib   # here, so that runs that take no digest load no OpenSSL
         h = hashlib.sha256()
         for block_id in compress(count(), self.touched):
             h.update(block_id.to_bytes(8, "little") + self._block(block_id))

@@ -5,7 +5,6 @@ it is read, and the chunks it counts land in the content model there too."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -16,7 +15,7 @@ class SwapJob:
     dst_host: int          # host page being demoted
     dst_internal: int      # its fast-tier internal page
     start_ns: int
-    due_ns: int                 # never after the first ns it completes
+    due_ns: int                 # the first ns at which it is complete
     applied_chunks: int = 0     # chunks copied, in timing and content alike
 
 
@@ -43,6 +42,9 @@ class DmaEngine:
         self.chunk_bytes = chunk_bytes
         self.total_chunks = page_bytes // chunk_bytes
         self.bandwidth = bandwidth
+        # The bandwidth as an exact ratio: `rate` bytes every `per_ns` ns,
+        # so every time below is exact integer arithmetic and they agree.
+        self.rate, self.per_ns = bandwidth.as_integer_ratio()
         self.on_complete = on_complete   # called with the finished SwapJob
         # Called with (first, stop) to swap chunks [first, stop) of content
         # between the two pages of the in-flight job, as they are copied.
@@ -54,29 +56,24 @@ class DmaEngine:
     def busy(self) -> bool:
         return self.job is not None
 
-    def duration_ns(self) -> float:
-        return 2 * self.page_bytes / self.bandwidth
-
     def start_swap(self, src_host, src_internal, dst_host, dst_internal,
                    now_ns: int) -> SwapJob:
         assert self.job is None, "single DMA engine: swap already active"
-        # `chunks_done` completes at the first elapsed ns whose rounded
-        # product reaches the page. Rounding moves that far less than a ns
-        # from the exact duration, so it is never below floor(duration); one
-        # ns less is a margin, and checking early costs one extra call.
-        due_ns = now_ns + math.floor(self.duration_ns()) - 1
         self.job = SwapJob(src_host, src_internal, dst_host, dst_internal,
-                           now_ns, due_ns)
+                           now_ns, now_ns + self._elapsed_ns(self.page_bytes))
         return self.job
+
+    def _elapsed_ns(self, nbytes: int) -> int:
+        """Whole ns from a swap's start until each direction has moved
+        `nbytes`: the ceiling of 2 * nbytes / bandwidth."""
+        return -(-2 * nbytes * self.per_ns // self.rate)
 
     def chunks_done(self, now_ns: int) -> int:
         """Chunks the in-flight swap has copied by `now_ns`, `total_chunks`
         once it is complete. Moves no progress."""
         # Each direction has moved half of the bytes the engine carried.
-        moved = (now_ns - self.job.start_ns) * self.bandwidth / 2
-        if moved < self.page_bytes:
-            return int(moved // self.chunk_bytes)
-        return self.total_chunks
+        moved = (now_ns - self.job.start_ns) * self.rate // (2 * self.per_ns)
+        return min(moved // self.chunk_bytes, self.total_chunks)
 
     def advance_to(self, now_ns: int):
         """Copy the chunks done by `now_ns`: exchange their content, then,
@@ -94,14 +91,12 @@ class DmaEngine:
                 self.on_complete(job)
 
     def completion_ns(self) -> int:
-        assert self.job is not None
-        return self.job.start_ns + math.ceil(self.duration_ns())
+        return self.job.due_ns
 
     def chunk_done_ns(self, chunk_index: int) -> int:
         """Time at which `chunk_index` finishes copying."""
-        job = self.job
-        return job.start_ns + math.ceil(
-            2 * self.chunk_bytes * (chunk_index + 1) / self.bandwidth)
+        return self.job.start_ns + self._elapsed_ns(
+            self.chunk_bytes * (chunk_index + 1))
 
     # Routing -----------------------------------------------------------
 

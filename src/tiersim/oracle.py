@@ -11,9 +11,10 @@ the simulator runs in exact-recency mode.
 
 from __future__ import annotations
 
-import hashlib
 import math
+from bisect import bisect_right
 from collections import deque
+from fractions import Fraction
 
 from .config import CACHING, MIGRATING, Policy
 from .metering import REPORT_SCHEMA_VERSION
@@ -176,18 +177,21 @@ def oracle_run(records, config):
         return s, None
 
     # One in-flight swap at most.
-    swap = None  # dict(src_host, src_internal, dst_host, dst_internal, start)
+    swap = None  # dict(src_host, src_internal, dst_host, dst_internal, start,
+    #                   done_ns)
+    # The engine carries the bandwidth's bytes a ns, half in each direction,
+    # so each direction moves a block every `per_block` ns, an exact
+    # rational. Chunk i is done at the first whole ns by which (i + 1)
+    # blocks have moved: no chunk time is rounded.
+    per_block = 2 * block / Fraction(cfg.dma_bandwidth_bytes_per_ns)
+    num, den = per_block.numerator, per_block.denominator
 
-    def swap_duration():
-        return 2 * page / cfg.dma_bandwidth_bytes_per_ns
+    def chunk_times(start):
+        # start + ceil((i + 1) * per_block), in integers for speed
+        return [start - (-(i + 1) * num // den) for i in range(bpp)]
 
     def chunks_done(now):
-        elapsed = now - swap["start"]
-        if elapsed <= 0:
-            return 0
-        if elapsed * cfg.dma_bandwidth_bytes_per_ns / 2 >= page:
-            return bpp
-        return int(elapsed * cfg.dma_bandwidth_bytes_per_ns / 2 // block)
+        return bisect_right(swap["done_ns"], now)
 
     def maybe_complete(now):
         nonlocal swap
@@ -212,7 +216,7 @@ def oracle_run(records, config):
         bitmap_bits[host_page] = set()
         swap = {"src_host": host_page, "src_internal": internal,
                 "dst_host": dst_host, "dst_internal": dst_internal,
-                "start": now}
+                "start": now, "done_ns": chunk_times(now)}
         charge("slow", "read", False, page)
         charge("fast", "write", False, page)
         charge("fast", "read", False, page)
@@ -304,9 +308,7 @@ def oracle_run(records, config):
             else:
                 done = chunks_done(clock)
                 if offset_in_page // block == done:
-                    ready = swap["start"] + math.ceil(
-                        2 * block * (done + 1) / cfg.dma_bandwidth_bytes_per_ns)
-                    wait = max(0, ready - clock)
+                    wait = max(0, swap["done_ns"][done] - clock)
                     if wait:
                         stall_ns += wait
                         write_stalls += 1
@@ -385,7 +387,7 @@ def oracle_run(records, config):
 
     # Drain: finish the in-flight swap without advancing the clock.
     if swap is not None:
-        maybe_complete(swap["start"] + math.ceil(swap_duration()))
+        maybe_complete(swap["done_ns"][-1])
 
     footprint = len({b // bpp for b in touched})
     report = _report(cfg, counts, clock, stall_ns, write_stalls,
@@ -407,6 +409,7 @@ def _validate(addr, size, seq, block, host_space):
 
 
 def _digest(content, touched, block):
+    import hashlib   # here, as in Simulator.content_digest
     h = hashlib.sha256()
     zero = bytes(block)
     for block_id in sorted(touched):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -7,8 +8,8 @@ import sys
 import pytest
 
 from tiersim import ConfigError, SimConfig, Simulator
-from tiersim.cli import CONFIG_FLAGS, SWEEPABLE, build_parser, main
-from tiersim.config import config_from_mapping
+from tiersim.cli import FLAGGED, build_parser, main
+from tiersim.config import FIELDS, config_from_mapping
 
 BASE = ["--fast-size", "256KiB", "--slow-size", "1MiB", "--bloom-window", "16"]
 CACHE = ["--cache-size", "64KiB"]
@@ -408,9 +409,9 @@ def test_bad_geometry_argument_exits_1(argv, named, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+CONFIG_FLAGS = [(field.metadata["flag"][0], field.name) for field in FLAGGED]
 each_flag = pytest.mark.parametrize(
-    "flag,field", [row[:2] for row in CONFIG_FLAGS],
-    ids=[row[0] for row in CONFIG_FLAGS])
+    "flag,field", CONFIG_FLAGS, ids=[flag for flag, _ in CONFIG_FLAGS])
 
 
 class TestConfigFlags:
@@ -431,6 +432,27 @@ class TestConfigFlags:
             assert err.startswith(f"error: {field}: ")
             assert err.endswith(f"{value!r}\n") and "usage" not in err
 
+    def test_every_config_option_comes_from_a_declaration(self):
+        # `--policy` takes a list of policies, so it is the one run/sweep
+        # option whose dest names a field but no declaration gives it.
+        declared = {flag for flag, _ in CONFIG_FLAGS}
+        assert len(declared) == len(CONFIG_FLAGS) == 10
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for command in ("run", "sweep"):
+            options = {action.option_strings[0]: action.dest
+                       for action in commands[command]._actions
+                       if action.dest in FIELDS and action.dest != "policy"}
+            assert options == dict(CONFIG_FLAGS)
+        param = next(action for action in commands["sweep"]._actions
+                     if action.dest == "param")
+        assert param.choices == sorted(
+            name for name, field in FIELDS.items() if field.metadata["sweep"])
+        assert param.choices == [
+            "adaptive_window_pages", "bloom_window", "cache_zone_bytes",
+            "dma_bandwidth_bytes_per_ns", "fast_capacity_bytes",
+            "promotion_threshold"]
+
     def test_fractional_threshold_message(self, capsys):
         assert run_cli("run", *TINY, "--threshold", "2.5") == 1
         assert capsys.readouterr().err == (
@@ -448,7 +470,7 @@ def test_unparsable_value_names_its_field(field, tmp_path, capsys):
     cfgfile = tmp_path / "sim.cfg"
     cfgfile.write_text(f"{field} = fast\n")
     runs = [("run", "--config", str(cfgfile), *TINY)]
-    if field in SWEEPABLE:
+    if FIELDS[field].metadata["sweep"]:
         runs.append(("sweep", *BASE, *TINY, "--param", field,
                      "--values", "fast"))
     if field == "policy":
@@ -494,11 +516,54 @@ def test_config_that_cannot_run_exits_1_naming_its_field(argv, field,
     assert captured.out == "" and not out.exists()
 
 
+SMALL_PAGES = ["run", "--gen", "sequential", "--requests", "100", "--pages",
+               "8", "--page-size", "512", "--fast-size", "16KiB",
+               "--slow-size", "64KiB", "--bloom-window", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--policy", "static,alldram", "--threshold", "1"],
+    ["--policy", "pagemove", "--block-size", "256"],
+    ["--policy", "pagemove", "--block-size", "256", "--threshold", "1"],
+], ids=["static-alldram", "pagemove-2-blocks", "pagemove-2-blocks-threshold-1"])
+def test_a_geometry_bound_binds_only_the_policies_that_read_the_field(
+        argv, tmp_path):
+    """512 B pages hold 4 blocks of 128 B, or 2 of 256 B, which bounds the
+    thresholds of the combined policies. Static, all-DRAM and pagemove read
+    neither threshold, so the defaults past that bound do not stop them."""
+    out = tmp_path / "r.json"
+    assert run_cli(*SMALL_PAGES, *argv, "--out", str(out)) == 0
+    for report in json.loads(out.read_text())["reports"]:
+        assert "error" not in report and report["requests"] == 100
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--policy", "statcomb"], "promotion_threshold 4 must be in [1, 2]"),
+    (["--policy", "adpcomb", "--threshold", "1"],
+     "adaptive_max_threshold 8 must be at most 2"),
+], ids=["statcomb-threshold", "adpcomb-max-threshold"])
+def test_a_geometry_bound_still_binds_a_policy_that_reads_it(argv, error,
+                                                            capsys):
+    assert run_cli(*SMALL_PAGES, "--block-size", "256", "--cache-size", "1KiB",
+                   *argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run([sys.executable, "-m", "tiersim.cli", "metacost",
                            "--sets", "65536"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "39 bits/set" in proc.stdout
+
+
+def test_the_package_and_its_cli_load_no_hashlib():
+    """Only a content digest hashes, and `run` and `sweep` take none, so
+    importing them loads no `hashlib` and with it no OpenSSL."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tiersim, tiersim.cli; "
+         "print([name for name in sys.modules if 'hashlib' in name])"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 def test_schema_golden_keys(tmp_path):

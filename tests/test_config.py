@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import pytest
 
 from tiersim import Simulator, oracle_run
 from tiersim.cli import config_for_policy
-from tiersim.config import (ConfigError, Policy, SimConfig,
-                            config_from_mapping, load_config_file, parse_size)
+from tiersim.config import (CACHING, FIELDS, PARSERS, ConfigError, Policy,
+                            SimConfig, config_from_mapping, load_config_file,
+                            parse_size)
 from tiersim.pagetable import COUNTER_MAX
 
 from conftest import random_records, small_config
@@ -157,6 +161,66 @@ class TestGeometry:
         assert cfg.validate() is cfg
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+ENDPOINTS = {"0": 0, "1": 1, "2**32": 2 ** 32, "inf": math.inf}
+
+
+def reference_row(field) -> str:
+    """`field`'s row of README's config reference, from its declaration."""
+    meta = field.metadata
+    read_by = ("all" if set(meta["read_by"]) == set(Policy)
+               else ", ".join(policy.value for policy in meta["read_by"]))
+    cells = [f"`{field.name}`", f"`{meta['flag'][0]}`" if meta["flag"] else "—",
+             meta["kind"], meta["bounds"] or "—", read_by,
+             "yes" if meta["sweep"] else "no"]
+    return f"| {' | '.join(cells)} |"
+
+
+class TestDeclarations:
+    def test_every_field_carries_a_declaration(self):
+        assert len(FIELDS) == 26
+        for field in dataclasses.fields(SimConfig):
+            meta = field.metadata
+            assert set(meta) == {"kind", "bounds", "read_by", "flag", "sweep"}
+            assert meta["kind"] in PARSERS and set(meta["read_by"]) <= set(Policy)
+            assert meta["flag"] is None or meta["flag"][0].startswith("--")
+            assert FIELDS[field.name] is field
+
+    def test_the_readme_reference_is_the_declarations(self):
+        lines = README.read_text().splitlines()
+        first = lines.index("| key | flag | kind | bounds | read by | sweep |") + 2
+        rows = list(itertools.takewhile(lambda line: line.startswith("|"),
+                                        lines[first:]))
+        assert rows == [reference_row(f) for f in dataclasses.fields(SimConfig)]
+
+    @pytest.mark.parametrize("name", [name for name, field in FIELDS.items()
+                                      if field.metadata["bounds"]])
+    def test_a_declared_bound_binds_every_policy(self, name):
+        # Each end of the interval, and the float just past it.
+        bounds = FIELDS[name].metadata["bounds"]
+        lo, hi = (ENDPOINTS[end] for end in bounds[1:-1].split(", "))
+        ends = ((lo, bounds[0] == "("), (hi, bounds[-1] == ")"))
+        inside = [end for end, is_open in ends if not is_open]
+        outside = [end for end, is_open in ends if is_open] + [
+            math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        message = f"{name} must lie in {bounds}"
+        for policy in Policy:
+            base = config_for_policy(SimConfig(cache_zone_bytes=64 * 1024),
+                                     policy)
+            for value in inside:
+                cfg = dataclasses.replace(base, **{name: value})
+                try:
+                    cfg.validate()
+                except ConfigError as exc:   # a cross-field check
+                    assert str(exc) != message
+            for value in outside:
+                # A geometry bound may refuse it first, naming the field.
+                with pytest.raises(ConfigError, match=f"^{name}[ :]") as info:
+                    dataclasses.replace(base, **{name: value}).validate()
+                if policy is Policy.STATIC:   # reads no field bounded so
+                    assert str(info.value) == message
+
+
 class TestValidation:
     @pytest.mark.parametrize("field,values", [
         ("adaptive_min_threshold", [0, 9]),
@@ -190,22 +254,40 @@ class TestValidation:
             SimConfig(adaptive_lo_water=0.8, adaptive_hi_water=0.5).validate()
         SimConfig(adaptive_lo_water=0.5, adaptive_hi_water=0.5).validate()
 
-    @pytest.mark.parametrize("field", ["promotion_threshold",
-                                       "adaptive_max_threshold"])
-    def test_threshold_past_the_counter_is_rejected(self, field):
-        # 32 blocks per page, but the 4-bit counter stops at 15.
+    @pytest.mark.parametrize("field,readers", [
+        ("promotion_threshold", CACHING),
+        ("adaptive_max_threshold", (Policy.ADPCOMB,))],
+        ids=["promotion_threshold", "adaptive_max_threshold"])
+    def test_threshold_past_the_counter_is_rejected(self, field, readers):
+        # 32 blocks per page, but the 4-bit counter stops at 15. The bound
+        # holds only under the policies that read the threshold.
         assert SimConfig().blocks_per_page > COUNTER_MAX == 15
-        SimConfig(**{field: COUNTER_MAX}).validate()
-        with pytest.raises(ConfigError, match=field):
-            SimConfig(**{field: 16}).validate()
+        base = SimConfig(cache_zone_bytes=64 * 1024, **{field: COUNTER_MAX})
+        for policy in Policy:
+            cfg = config_for_policy(base, policy)
+            assert cfg.validate() is cfg
+            past = dataclasses.replace(cfg, **{field: COUNTER_MAX + 1})
+            if policy in readers:
+                with pytest.raises(ConfigError, match=f"^{field} 16 "):
+                    past.validate()
+            else:
+                assert past.validate() is past
 
     def test_threshold_bounded_by_small_pages(self):
-        cfg = SimConfig(page_size_bytes=512, promotion_threshold=4,
-                        adaptive_max_threshold=4)
-        assert cfg.validate() is cfg
-        with pytest.raises(ConfigError, match="promotion_threshold"):
-            SimConfig(page_size_bytes=512, promotion_threshold=5,
-                      adaptive_max_threshold=4).validate()
+        # 512-byte pages hold 4 blocks, so a threshold past 4 could never
+        # be reached, under the combined policies that compare it.
+        base = SimConfig(page_size_bytes=512, cache_zone_bytes=64 * 1024,
+                         promotion_threshold=4, adaptive_max_threshold=4)
+        for policy in Policy:
+            cfg = config_for_policy(base, policy)
+            assert cfg.validate() is cfg
+            past = dataclasses.replace(cfg, promotion_threshold=5)
+            if policy in CACHING:
+                with pytest.raises(ConfigError, match="^promotion_threshold 5 "
+                                   r"must be in \[1, 4\]$"):
+                    past.validate()
+            else:
+                assert past.validate() is past
 
     def test_adaptive_window_zero_still_disables_adaptation(self):
         cfg = SimConfig(policy=Policy.ADPCOMB, cache_zone_bytes=64 * 1024,
@@ -281,7 +363,7 @@ class TestValidation:
               cache_zone_bytes=2048)),
         ("bloom_window", "victim search cannot terminate",
          dict(policy=Policy.PAGEMOVE, bloom_window=64)),
-        ("bloom_window", "must be positive",
+        ("bloom_window", "must lie in [1, inf)",
          dict(policy=Policy.STATIC, bloom_window=0)),
         ("dma_bandwidth_bytes_per_ns", "DMA bandwidth must be positive",
          dict(dma_bandwidth_bytes_per_ns=0.0)),

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -113,7 +114,7 @@ class TestEngine:
                 start = rng.randrange(1 << 40)
                 eng, done = make_engine(page, chunk, bw)
                 job = eng.start_swap(1, 9, 0, 3, now_ns=start)
-                first = start + max(0, math.floor(eng.duration_ns()) - 3)
+                first = start + max(0, math.floor(2 * page / bw) - 3)
                 while eng.chunks_done(first) < eng.total_chunks:
                     first += 1
                 assert first - 2 <= job.due_ns <= first, (page, bw)
@@ -122,6 +123,24 @@ class TestEngine:
                 assert eng.job is job and not done, (page, bw)
                 eng.advance_to(first)
                 assert eng.job is None and done == [job], (page, bw)
+
+    @pytest.mark.parametrize("bw", [0.1, 0.7, 6.4, 7.3, 123.456])
+    @pytest.mark.parametrize("page", [4096, 65536])
+    def test_a_stall_ends_when_its_chunk_is_counted(self, page, bw):
+        # At 64 KiB pages, 256 B chunks and 0.7 B/ns, float times once had
+        # chunk 20 counted done at 15360 ns but its stall end at 15361.
+        # Chunk i is done at the first ns each direction has moved
+        # (i + 1) chunks, computed here with exact rationals.
+        rate = Fraction(bw) / 2
+        for chunk in (128, 256):
+            eng, _ = make_engine(page, chunk, bw)
+            start = 12345
+            eng.start_swap(1, 9, 0, 3, now_ns=start)
+            for i in range(eng.total_chunks):
+                t = eng.chunk_done_ns(i)
+                assert t == start + math.ceil((i + 1) * chunk / rate), (chunk, i)
+                assert eng.chunks_done(t) > i >= eng.chunks_done(t - 1), (chunk, i)
+            assert eng.completion_ns() == eng.job.due_ns == t
 
     def test_chunks_done_moves_no_progress(self):
         eng, done = make_engine()

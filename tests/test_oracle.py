@@ -28,7 +28,7 @@ class TestDifferential:
             assert report == oracle_report, f"trial {trial}"
             assert sim.content_digest() == oracle_digest, f"trial {trial}"
 
-    @pytest.mark.parametrize("bandwidth", (0.1, 3.0, 6.4, 7.3))
+    @pytest.mark.parametrize("bandwidth", (0.1, 3.0, 6.4, 7.3, 0.7))
     @pytest.mark.parametrize("policy", (Policy.PAGEMOVE, Policy.STATCOMB,
                                         Policy.ADPCOMB))
     def test_bandwidths_whose_swap_time_is_inexact(self, policy, bandwidth):
