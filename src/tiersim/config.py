@@ -213,8 +213,8 @@ class SimConfig:
             _need(self.fast_pages >= 1, "fast_capacity_bytes: no page-managed "
                   "fast pages available")
             _need(self.bloom_window < self.fast_pages, "bloom_window: bloom "
-                  "window must be smaller than the fast page count or the "
-                  "victim search cannot terminate")
+                  "window must be smaller than the fast page count, so that the "
+                  "victim search can find a fast page outside the window")
         # A page swap moves 2 * p bytes; like a device number, it must take
         # at most 2**32 ns. Scaling by 2**32 is exact, so this never rounds.
         if self._reads("dma_bandwidth_bytes_per_ns"):

@@ -6,8 +6,8 @@ columns: `run` passes the whole trace, `dispatch` a batch of one. The state
 it reads is bound to locals once per batch. Each request is then:
 
 1. validated (a failure goes to `_reject`) and its block marked touched;
-   the access bitmap is written only for an enabled adaptive controller,
-   its one reader. Pages are recorded for the victim search per batch, as
+   the access bitmap is written only for an adaptive controller, its one
+   reader. Pages are recorded for the victim search per batch, as
    a slice of the address column, before a swap start's search reads the
    filter, before `_reject` raises and at the end of the batch;
 2. located: the DMA engine is caught up only when a swap is in flight and
@@ -50,7 +50,7 @@ from .metering import (FAST_READ, FAST_WRITE, MIG_FAST_READ, MIG_FAST_WRITE,
 from .migration import DmaEngine
 from .pagetable import PageTable
 from .policies import COPY_BLOCK, TRY_SWAP, make_controller, slow_touch_action
-from .recency import make_recency_filter
+from .recency import BloomRecencyFilter, make_recency_filter
 from .subcache import BlockCache
 from .trace import Trace, TraceError
 
@@ -72,19 +72,16 @@ class ServiceOutcome:
     data: bytes | None = None
 
 
+# Byte i of write `seq` is (seq + i) & 0xFF: a slice of this cycle repeated,
+# starting at seq & 0xFF.
 _CYCLE = bytes(range(256))
-# Byte i of write `seq` is (seq + i) & 0xFF, so a write of up to 4 KiB is one
-# slice of this pattern starting at seq & 0xFF.
-_PATTERN = _CYCLE * 17
 
 
 def write_payload(seq: int, size: int) -> bytes:
     """Deterministic bytes carried by write `seq`, which the request loop
     slices from its own copy of the cycle; tests recompute these."""
     start = seq & 0xFF
-    if start + size <= len(_PATTERN):
-        return _PATTERN[start:start + size]
-    return ((_CYCLE[start:] + _CYCLE[:start]) * (size // 256 + 1))[:size]
+    return (_CYCLE * (size // 256 + 2))[start:start + size]
 
 
 # Content arenas hold this many bytes each (or one block, if larger): a whole
@@ -129,29 +126,31 @@ class Simulator:
         # Only migrating policies act on a slow touch; static just forwards.
         self.migrating = cfg.policy in MIGRATING
 
-        recency = make_recency_filter(cfg.bloom_window, cfg.exact_recency, cfg.total_pages)
+        # Only a migrating policy's victim search queries the filter; static
+        # and all-DRAM runs record into one that no config field sizes.
+        recency = (make_recency_filter(cfg.bloom_window, cfg.exact_recency,
+                                       cfg.total_pages)
+                   if self.migrating else BloomRecencyFilter(1))
         shuffle_seed = cfg.rng_seed if cfg.policy is Policy.STATIC else None
         self.pagetable = PageTable(cfg.fast_pages, cfg.total_pages,
                                    cfg.blocks_per_page, recency,
                                    static_shuffle_seed=shuffle_seed)
         self.engine = DmaEngine(cfg.page_size_bytes, cfg.block_size_bytes,
                                 cfg.dma_bandwidth_bytes_per_ns,
-                                on_complete=self._swap_completed,
                                 exchange=self._exchange_chunks)
         self.controller = make_controller(cfg)
         self.cache = (BlockCache(cfg.cache_sets, cfg.block_size_bytes)
                       if cfg.policy in CACHING else None)
         # The request path's constants: geometry as shifts and masks (pages
         # and blocks are powers of two), and the access bitmap, which only
-        # an enabled adaptive controller reads, so only then is it written.
+        # an adaptive controller reads, so only then is it written.
         block, page = self.block_bytes, cfg.page_size_bytes
         self._path_geometry = (
             block, block.bit_length() - 1, block - 1, page.bit_length() - 1,
             page - 1, self.host_space_bytes,
             self.pagetable.region_blocks.bit_length() - 1)
-        self._path_bitmap = (self.pagetable.bitmap
-                             if self.controller is not None
-                             and self.controller.enabled else None)
+        self._path_bitmap = (None if self.controller is None
+                             else self.pagetable.bitmap)
         if self.migrating:
             self.pagetable.search_candidate()
 
@@ -190,10 +189,14 @@ class Simulator:
 
     def _exchange_chunks(self, first: int, stop: int):
         """Land chunks [first, stop) of the in-flight pair, just copied by
-        an engine advance. A chunk is one block: this swaps slot references,
-        not bytes. A swap landed by one advance trades the two indexes, so a
-        page without an index stays without one and keeps reading as zeros."""
+        an engine advance; the last chunk completes the swap, so it also
+        flips the pair's remap entries. A chunk is one block: this swaps
+        slot references, not bytes. A swap landed by one advance trades the
+        two indexes, so a page without an index stays without one and keeps
+        reading as zeros."""
         job = self.engine.job
+        if stop == self.blocks_per_page:
+            self.pagetable.swap_mappings(job.src_host, job.dst_host)
         if first == 0 and stop == self.blocks_per_page:
             mem = self.mem
             a = mem.get(job.src_internal)
@@ -209,9 +212,6 @@ class Simulator:
         a = self._page_mem(job.src_internal)
         b = self._page_mem(job.dst_internal)
         a[first:stop], b[first:stop] = b[first:stop], a[first:stop]
-
-    def _swap_completed(self, job):
-        self.pagetable.swap_mappings(job.src_host, job.dst_host)
 
     def _locate(self, host_page: int, offset_in_page: int) -> int:
         """Internal page holding this byte of `host_page` right now."""
@@ -393,13 +393,8 @@ class Simulator:
 
     # Policy side effects ---------------------------------------------------
 
-    def _live_threshold(self) -> int:
-        if self.controller is not None:
-            return self.controller.threshold
-        return self.config.promotion_threshold
-
     def _start_swap(self, host_page, internal):
-        dst_host, dst_internal = self.pagetable.take_candidate()
+        dst_host, dst_internal = self.pagetable.candidate
         if self.controller is not None:
             self.controller.on_promotion(
                 self.pagetable.bitmap_popcount(host_page))
@@ -452,7 +447,7 @@ class Simulator:
     def finish(self) -> dict:
         if self.engine.busy:
             # Drain the in-flight swap; DMA time is off the foreground clock.
-            self.engine.advance_to(self.engine.completion_ns())
+            self.engine.advance_to(self.engine.job.due_ns)
         return self._report()
 
     def _report(self) -> dict:
@@ -472,7 +467,8 @@ class Simulator:
             "bloom_window": cfg.bloom_window,
             "exact_recency": cfg.exact_recency,
             "threshold_initial": cfg.promotion_threshold,
-            "threshold_final": self._live_threshold(),
+            "threshold_final": (cfg.promotion_threshold if self.controller
+                                is None else self.controller.threshold),
             # Each request charges one foreground access of one block.
             "requests": reads + writes,
             "reads": reads,

@@ -37,7 +37,7 @@ class DmaEngine:
     """
 
     def __init__(self, page_bytes: int, chunk_bytes: int, bandwidth: float,
-                 on_complete, exchange):
+                 exchange):
         self.page_bytes = page_bytes
         self.chunk_bytes = chunk_bytes
         self.total_chunks = page_bytes // chunk_bytes
@@ -45,9 +45,9 @@ class DmaEngine:
         # The bandwidth as an exact ratio: `rate` bytes every `per_ns` ns,
         # so every time below is exact integer arithmetic and they agree.
         self.rate, self.per_ns = bandwidth.as_integer_ratio()
-        self.on_complete = on_complete   # called with the finished SwapJob
         # Called with (first, stop) to swap chunks [first, stop) of content
-        # between the two pages of the in-flight job, as they are copied.
+        # between the two pages of the in-flight job, as they are copied;
+        # the call with stop == total_chunks completes the swap.
         self.exchange = exchange
         self.job = None
         self.completed_swaps = 0
@@ -76,8 +76,8 @@ class DmaEngine:
         return min(moved // self.chunk_bytes, self.total_chunks)
 
     def advance_to(self, now_ns: int):
-        """Copy the chunks done by `now_ns`: exchange their content, then,
-        on completion, fire it."""
+        """Copy the chunks done by `now_ns`: exchange their content, and
+        retire the job with its last chunk."""
         job = self.job
         if job is None:
             return
@@ -88,10 +88,6 @@ class DmaEngine:
             if done == self.total_chunks:
                 self.job = None
                 self.completed_swaps += 1
-                self.on_complete(job)
-
-    def completion_ns(self) -> int:
-        return self.job.due_ns
 
     def chunk_done_ns(self, chunk_index: int) -> int:
         """Time at which `chunk_index` finishes copying."""

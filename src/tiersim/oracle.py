@@ -24,10 +24,6 @@ from .subcache import PLRU_BITS, WAYS
 from .trace import Trace, TraceError
 
 
-class OracleError(RuntimeError):
-    pass
-
-
 def oracle_run(records, config):
     """Run a `Trace`, or any iterable of records packed into one, through
     the reference model.
@@ -141,7 +137,14 @@ def oracle_run(records, config):
                 continue
             candidate = (slot, pointed)
             return
-        raise OracleError("victim search exhausted its probe budget")
+        # Budget spent (README, "Counter-based victim search"): the lowest
+        # slot whose page is fast and not excluded, preferring one that is
+        # not recent.
+        eligible = [h for h in range(total_pages)
+                    if table[h] < fast_pages and table[h] not in excluded]
+        fresh = [h for h in eligible if h not in recent_counts]
+        slot = (fresh or eligible)[0]
+        candidate = (slot, table[slot])
 
     if policy in MIGRATING:
         search_candidate()

@@ -13,17 +13,14 @@ COUNTER_MAX = 15
 BITMAP_BITS = 8
 
 
-class VictimSearchError(RuntimeError):
-    """Probe budget exhausted; indicates a hash or configuration defect."""
-
-
 class PageTable:
     """One-to-one remap of host pages onto internal pages.
 
     Internal pages [0, fast_pages) are the page-managed fast tier; the rest
     are slow. The victim search walks a monotone counter through a mixing
     hash, probing table slots until it lands on a fast-zone page whose host
-    page is not recency-protected.
+    page is not recency-protected; past its probe budget it sweeps the table
+    from slot 0 instead.
     """
 
     def __init__(self, fast_pages: int, total_pages: int, blocks_per_page: int,
@@ -46,7 +43,7 @@ class PageTable:
 
         # Victim search state.
         self.counter = 0
-        self.candidate = None  # (host_page, internal_page) or None
+        self.candidate = None  # (host_page, internal_page) once searched
 
     # Lookup ----------------------------------------------------------
 
@@ -84,10 +81,12 @@ class PageTable:
 
         Runs in the background between requests, so it charges no simulated
         time. `excluded_internal` holds pages of an in-flight swap, which
-        cannot be offered while their contents are moving.
+        cannot be offered while their contents are moving. After
+        `16 * fast_pages` probes it takes the first slot from 0 whose page
+        is fast, not excluded and not recent, or else (a bloom filter can
+        report every page recent) the first fast, non-excluded one.
         """
-        budget = 16 * max(1, self.fast_pages)
-        for _ in range(budget):
+        for _ in range(16 * max(1, self.fast_pages)):
             slot = mix64(self.counter) % self.total_pages
             pointed = self.table[slot]
             self.counter += 1
@@ -99,14 +98,13 @@ class PageTable:
                 continue
             self.candidate = (slot, pointed)
             return self.candidate
-        raise VictimSearchError(
-            f"no eligible fast page after {budget} probes "
-            f"(fast_pages={self.fast_pages}, window={getattr(self.recency, 'window', '?')})")
-
-    def take_candidate(self):
-        cand = self.candidate
-        self.candidate = None
-        return cand
+        eligible = [slot for slot, pointed in enumerate(self.table)
+                    if pointed < self.fast_pages
+                    and pointed not in excluded_internal]
+        slot = next((slot for slot in eligible if slot not in self.recency),
+                    eligible[0])
+        self.candidate = (slot, self.table[slot])
+        return self.candidate
 
     # Mutation ----------------------------------------------------------
 

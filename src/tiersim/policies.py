@@ -40,9 +40,7 @@ class AdaptiveController:
 
     def __init__(self, threshold: int, min_thr: int, max_thr: int,
                  window_pages: int, alpha: float, hi_water: float, lo_water: float):
-        if window_pages > 0:
-            threshold = min(max(threshold, min_thr), max_thr)
-        self.threshold = threshold
+        self.threshold = min(max(threshold, min_thr), max_thr)
         self.min_thr = min_thr
         self.max_thr = max_thr
         self.window_pages = window_pages
@@ -52,15 +50,8 @@ class AdaptiveController:
         self.ewma = None
         self.promotions = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.window_pages > 0
-
-    def on_promotion(self, bitmap_popcount: int) -> int:
-        """Feed one promoted page's utilization; returns the threshold to
-        use for subsequent decisions."""
-        if not self.enabled:
-            return self.threshold
+    def on_promotion(self, bitmap_popcount: int):
+        """Feed one promoted page's utilization."""
         sample = bitmap_popcount / BITMAP_BITS
         self.ewma = sample if self.ewma is None else (
             self.alpha * sample + (1 - self.alpha) * self.ewma)
@@ -70,11 +61,12 @@ class AdaptiveController:
                 self.threshold = max(self.min_thr, self.threshold - 1)
             elif self.ewma < self.lo_water:
                 self.threshold = min(self.max_thr, self.threshold + 1)
-        return self.threshold
 
 
 def make_controller(config) -> AdaptiveController | None:
-    if config.policy is not Policy.ADPCOMB:
+    """The controller of adpcomb with adaptation on; at window 0 adpcomb
+    keeps its threshold, as statcomb does, and has none."""
+    if config.policy is not Policy.ADPCOMB or config.adaptive_window_pages == 0:
         return None
     return AdaptiveController(
         threshold=config.promotion_threshold,

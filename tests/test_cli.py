@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import resource
 import subprocess
 import sys
 
@@ -547,6 +548,42 @@ def test_a_geometry_bound_still_binds_a_policy_that_reads_it(argv, error,
     assert run_cli(*SMALL_PAGES, "--block-size", "256", "--cache-size", "1KiB",
                    *argv) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pages", "136", "--fast-size", "32KiB", "--slow-size", "512KiB",
+     "--bloom-window", "7"],
+    ["--pages", "128", "--fast-size", "256KiB", "--slow-size", "256KiB",
+     "--bloom-window", "63"],
+], ids=["probe-budget", "bloom-memory"])
+def test_a_spent_victim_search_falls_back_to_a_table_sweep(argv, tmp_path):
+    """The hashed probes miss 8 fast pages among 136, and a bloom filter
+    two generations of 63 pages deep can hold all 64 fast pages; either way
+    the search sweeps the table instead of giving up."""
+    out = tmp_path / "r.json"
+    assert run_cli("run", "--gen", "sparse-wide", "--requests", "20000",
+                   *argv, "--policy", "pagemove", "--out", str(out)) == 0
+    report, = json.loads(out.read_text())["reports"]
+    assert report["requests"] == 20000 and report["page_relocations"] > 1000
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_a_window_no_policy_searches_allocates_nothing():
+    """Static and all-DRAM never search for a victim, so a 10**12-page
+    recency window sizes nothing. The address space is capped so that a
+    filter sized by the window fails fast instead of zeroing a terabyte."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tiersim.cli", "run", "--gen", "sequential",
+         "--requests", "100", "--pages", "8", "--fast-size", "256KiB",
+         "--slow-size", "1MiB", "--policy", "static,alldram",
+         "--bloom-window", "1000000000000"],
+        capture_output=True, text=True, preexec_fn=_two_gib_address_space)
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)["reports"]
+    assert [r["requests"] for r in reports] == [100, 100]
 
 
 def test_console_script_entrypoint():

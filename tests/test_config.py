@@ -361,7 +361,7 @@ class TestValidation:
         ("fast_capacity_bytes", "no page-managed fast pages",
          dict(policy=Policy.STATCOMB, fast_capacity_bytes=4096,
               cache_zone_bytes=2048)),
-        ("bloom_window", "victim search cannot terminate",
+        ("bloom_window", "victim search can find a fast page outside",
          dict(policy=Policy.PAGEMOVE, bloom_window=64)),
         ("bloom_window", "must lie in [1, inf)",
          dict(policy=Policy.STATIC, bloom_window=0)),

@@ -203,6 +203,22 @@ class TestWritePayload:
                 assert write_payload(seq, size) == self.reference(seq, size)
 
 
+class TestBuiltState:
+    @pytest.mark.parametrize("policy", [Policy.STATIC, Policy.ALLDRAM])
+    def test_an_unsearched_filter_does_not_grow_with_the_window(self, policy):
+        # Static and all-DRAM never search for a victim, so no window
+        # sizes their filter, and it memoizes no page.
+        def recency(window):
+            extra = ({} if policy is Policy.STATIC else
+                     dict(fast_capacity_bytes=1280 * 1024, slow_capacity_bytes=0))
+            cfg = small_config(policy, bloom_window=window, **extra)
+            return Simulator(cfg).pagetable.recency
+
+        small, huge = recency(16), recency(10 ** 12)
+        assert (huge.nbits, huge.k) == (small.nbits, small.k)
+        assert len(huge.memo) == len(small.memo) == 0
+
+
 class TestShadowContent:
     @pytest.mark.parametrize("policy", [Policy.STATIC, Policy.PAGEMOVE,
                                         Policy.STATCOMB, Policy.ADPCOMB])

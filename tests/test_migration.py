@@ -13,53 +13,49 @@ from conftest import peek_digest, random_records, small_config
 
 def make_engine(page=4096, chunk=128, bw=8.0,
                 exchange=lambda first, stop: None):
-    done = []
-    eng = DmaEngine(page, chunk, bw, on_complete=done.append,
-                    exchange=exchange)
-    return eng, done
+    return DmaEngine(page, chunk, bw, exchange=exchange)
 
 
 class TestEngine:
     def test_swap_duration_4k_at_8_bytes_per_ns(self):
-        eng, _ = make_engine()
+        eng = make_engine()
         eng.start_swap(10, 100, 2, 5, now_ns=0)
-        assert eng.completion_ns() == 1024  # 2 * 4096 / 8
+        assert eng.job.due_ns == 1024  # 2 * 4096 / 8
 
     def test_advance_zero_makes_no_progress(self):
-        eng, done = make_engine()
+        eng = make_engine()
         eng.start_swap(10, 100, 2, 5, now_ns=0)
         eng.advance_to(0)
-        assert eng.job.applied_chunks == 0 and not done
+        assert eng.job.applied_chunks == 0 and eng.completed_swaps == 0
 
     def test_advance_past_completion_clamps_and_completes(self):
-        eng, done = make_engine()
-        eng.start_swap(10, 100, 2, 5, now_ns=0)
+        eng = make_engine()
+        job = eng.start_swap(10, 100, 2, 5, now_ns=0)
         eng.advance_to(10_000)
         assert eng.job is None
-        assert len(done) == 1
-        assert done[0].applied_chunks == 32
+        assert eng.completed_swaps == 1
+        assert job.applied_chunks == 32
 
     def test_interleaved_advances_match_one_big_advance(self):
         rng = random.Random(5)
         for trial in range(30):
-            eng_a, done_a = make_engine(bw=rng.choice([2.0, 5.0, 8.0]))
-            eng_b, done_b = make_engine(bw=eng_a.bandwidth)
-            eng_a.start_swap(1, 9, 0, 3, now_ns=0)
-            eng_b.start_swap(1, 9, 0, 3, now_ns=0)
+            eng_a = make_engine(bw=rng.choice([2.0, 5.0, 8.0]))
+            eng_b = make_engine(bw=eng_a.bandwidth)
+            job_a = eng_a.start_swap(1, 9, 0, 3, now_ns=0)
+            job_b = eng_b.start_swap(1, 9, 0, 3, now_ns=0)
             t = 0
             for _ in range(rng.randrange(2, 9)):
                 t += rng.randrange(0, 400)
                 eng_a.advance_to(t)
             eng_a.advance_to(5000)
             eng_b.advance_to(5000)
-            assert bool(done_a) == bool(done_b) == True
-            assert done_a[0].applied_chunks == done_b[0].applied_chunks
+            assert eng_a.completed_swaps == eng_b.completed_swaps == 1
+            assert job_a.applied_chunks == job_b.applied_chunks
 
     def test_chunk_exchange_sequence(self):
         # Each advance lands the chunks it copies; locating lands nothing.
         seen = []
-        eng, done = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
-        eng.on_complete = lambda job: done.append(list(seen))
+        eng = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         eng.advance_to(100)   # 100*8/2 = 400B -> 3 chunks copied
         assert seen == [(0, 3)]
@@ -76,26 +72,26 @@ class TestEngine:
         assert seen == [(0, 3), (3, 6), (6, 9)]
         assert eng.locate(3, 0) == 80
         eng.advance_to(10_000)
-        # Completion lands the remainder before on_complete runs.
+        # Completion lands the remainder and retires the job.
         assert seen == [(0, 3), (3, 6), (6, 9), (9, 32)]
-        assert done == [[(0, 3), (3, 6), (6, 9), (9, 32)]]
+        assert eng.job is None and eng.completed_swaps == 1
 
     def test_untouched_swap_lands_whole_at_completion(self):
         seen = []
-        eng, done = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
-        eng.start_swap(7, 80, 3, 2, now_ns=0)
+        eng = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
+        job = eng.start_swap(7, 80, 3, 2, now_ns=0)
         assert eng.locate(7, 0) == 80 and eng.locate(4, 0) is None
-        assert seen == [] and not done
+        assert seen == [] and eng.completed_swaps == 0
         # The first advance completes the swap: one whole-page exchange.
         eng.advance_to(1024)
-        assert seen == [(0, eng.total_chunks)] and len(done) == 1
-        assert done[0].applied_chunks == eng.total_chunks == 32
+        assert seen == [(0, eng.total_chunks)] and eng.completed_swaps == 1
+        assert job.applied_chunks == eng.total_chunks == 32
         eng.advance_to(500)   # stale, and the engine is idle: nothing lands
-        assert seen == [(0, 32)] and len(done) == 1
+        assert seen == [(0, 32)] and eng.completed_swaps == 1
 
     def test_progress_monotone_under_time_replays(self):
         seen = []
-        eng, _ = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
+        eng = make_engine(exchange=lambda first, stop: seen.append((first, stop)))
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         eng.advance_to(100)
         chunks = eng.job.applied_chunks
@@ -112,7 +108,7 @@ class TestEngine:
         for page, chunk in ((2048, 128), (4096, 128), (65536, 256)):
             for bw in bandwidths:
                 start = rng.randrange(1 << 40)
-                eng, done = make_engine(page, chunk, bw)
+                eng = make_engine(page, chunk, bw)
                 job = eng.start_swap(1, 9, 0, 3, now_ns=start)
                 first = start + max(0, math.floor(2 * page / bw) - 3)
                 while eng.chunks_done(first) < eng.total_chunks:
@@ -120,9 +116,9 @@ class TestEngine:
                 assert first - 2 <= job.due_ns <= first, (page, bw)
                 # `first` is where advance_to itself completes.
                 eng.advance_to(first - 1)
-                assert eng.job is job and not done, (page, bw)
+                assert eng.job is job and not eng.completed_swaps, (page, bw)
                 eng.advance_to(first)
-                assert eng.job is None and done == [job], (page, bw)
+                assert eng.job is None and eng.completed_swaps == 1, (page, bw)
 
     @pytest.mark.parametrize("bw", [0.1, 0.7, 6.4, 7.3, 123.456])
     @pytest.mark.parametrize("page", [4096, 65536])
@@ -133,26 +129,26 @@ class TestEngine:
         # (i + 1) chunks, computed here with exact rationals.
         rate = Fraction(bw) / 2
         for chunk in (128, 256):
-            eng, _ = make_engine(page, chunk, bw)
+            eng = make_engine(page, chunk, bw)
             start = 12345
             eng.start_swap(1, 9, 0, 3, now_ns=start)
             for i in range(eng.total_chunks):
                 t = eng.chunk_done_ns(i)
                 assert t == start + math.ceil((i + 1) * chunk / rate), (chunk, i)
                 assert eng.chunks_done(t) > i >= eng.chunks_done(t - 1), (chunk, i)
-            assert eng.completion_ns() == eng.job.due_ns == t
+            assert eng.job.due_ns == t
 
     def test_chunks_done_moves_no_progress(self):
-        eng, done = make_engine()
+        eng = make_engine()
         eng.start_swap(7, 80, 3, 2, now_ns=100)
         assert eng.chunks_done(612) == 16     # 512 ns at 4 B/ns a direction
         assert eng.chunks_done(10_000) == 32  # complete
-        assert eng.job.applied_chunks == 0 and not done
+        assert eng.job.applied_chunks == 0 and eng.completed_swaps == 0
         eng.advance_to(612)
         assert eng.job.applied_chunks == 16
 
     def test_route_and_stall(self):
-        eng, _ = make_engine()
+        eng = make_engine()
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         eng.advance_to(512)  # 2048 bytes = 16 chunks
         assert eng.locate(7, 0) == 2        # copied: the new copy
@@ -164,7 +160,7 @@ class TestEngine:
         assert eng.write_stall_ns(0, now_ns=512) == 0
 
     def test_locate_both_sides(self):
-        eng, _ = make_engine()
+        eng = make_engine()
         assert eng.locate(7, 0) is None      # idle engine: nothing in flight
         eng.start_swap(7, 80, 3, 2, now_ns=0)
         # src data moves 80 -> 2; dst data moves 2 -> 80
@@ -234,6 +230,19 @@ class TestConflictRouting:
         assert not sim.engine.busy
         assert sim.engine.completed_swaps == 1
         assert sim.pagetable.lookup(page) < sim.pagetable.fast_pages
+
+    def test_remap_flips_in_the_advance_that_lands_the_last_chunk(self):
+        sim, _ = self._swapping_sim()
+        engine, job = sim.engine, sim.engine.job
+        table = sim.pagetable.table
+        before = table[job.src_host], table[job.dst_host]
+        # All but the last chunk land: the pair keeps its mapping.
+        engine.advance_to(engine.chunk_done_ns(engine.total_chunks - 2))
+        assert job.applied_chunks == engine.total_chunks - 1
+        assert (table[job.src_host], table[job.dst_host]) == before
+        engine.advance_to(job.due_ns)
+        assert engine.job is None and engine.completed_swaps == 1
+        assert (table[job.dst_host], table[job.src_host]) == before
 
     def test_no_lost_writes_across_swap(self):
         # Write to every block while its page swaps; all data must survive.

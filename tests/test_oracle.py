@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from tiersim import Policy, SimConfig, Simulator, oracle_run
+from tiersim import Policy, SimConfig, Simulator, Trace, oracle_run
+from tiersim.pagetable import PageTable
+from tiersim.recency import mix64
 
 from conftest import random_oracle_config as random_config
 from conftest import random_records
@@ -80,6 +82,41 @@ class TestDifferential:
         assert report == oracle_report
         assert sim.content_digest() == oracle_digest
         assert report["page_relocations"] > 1000  # real churn, not a no-op
+
+
+    @pytest.mark.parametrize("bloom_window", (1, 3))
+    def test_a_spent_victim_search_matches_the_oracle(self, bloom_window,
+                                                      monkeypatch):
+        # 4 fast pages among 260: the 64 hashed probes of a search often
+        # miss every eligible one, and both models then sweep the table.
+        # Exact windows below the fast page count always leave one to take.
+        cfg = SimConfig(fast_capacity_bytes=4 * 4096,
+                        slow_capacity_bytes=256 * 4096,
+                        bloom_window=bloom_window, policy=Policy.PAGEMOVE,
+                        exact_recency=True)
+        search, swept = PageTable.search_candidate, []
+
+        def spy(pt, excluded_internal=()):
+            start = pt.counter
+            slot, _ = search(pt, excluded_internal)
+            # A search whose last probe succeeded took that probe's slot.
+            swept.append(pt.counter - start == 16 * pt.fast_pages and
+                         slot != mix64(pt.counter - 1) % pt.total_pages)
+            return pt.candidate
+
+        monkeypatch.setattr(PageTable, "search_candidate", spy)
+        # Four in five requests go to 8 hot pages, so the window often holds
+        # the lowest fast slots, which the sweep must then pass over.
+        rng, recs = random.Random(bloom_window), Trace()
+        for _ in range(1000):
+            page = (rng.randrange(8) if rng.random() < 0.8
+                    else rng.randrange(cfg.total_pages))
+            recs.append(rng.choice("RW"),
+                        page * 4096 + rng.randrange(0, 4096, 128), 64)
+        sim = Simulator(cfg)
+        report = sim.run(recs)
+        assert (report, sim.content_digest()) == oracle_run(recs, cfg)
+        assert sum(swept) >= 50
 
 
 class TestOracleSelfChecks:

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from tiersim import SimConfig
-from tiersim.pagetable import BITMAP_BITS, PageTable, VictimSearchError
-from tiersim.recency import ExactRecencyFilter, mix64
+from tiersim.pagetable import BITMAP_BITS, PageTable
+from tiersim.recency import BloomRecencyFilter, ExactRecencyFilter, mix64
 
 from conftest import dump_pagetable
 
@@ -164,12 +164,32 @@ class TestVictimSearch:
             values.append(pt.counter)
         assert values == sorted(values)
 
-    def test_exhaustion_raises(self):
-        pt = make_table(fast=4, total=32, window=32)
-        for host in range(32):  # every page recent -> nothing eligible
-            pt.recency.record((host,))
-        with pytest.raises(VictimSearchError):
-            pt.search_candidate()
+    def test_exhaustion_falls_back_to_a_table_sweep(self):
+        # Fast pages 1 and 0 sit at slots lo < hi, where none of the 32
+        # hashed probes lands, so every search spends its budget; every
+        # slot below lo holds a slow page.
+        probed = {mix64(c) % 256 for c in range(32)}
+        lo, hi = sorted(set(range(256)) - probed)[3:5]
+
+        def table(recency, *recent):
+            pt = PageTable(2, 256, 32, recency)
+            slow = iter(range(2, 256))
+            pt.table = [1 if s == lo else 0 if s == hi else next(slow)
+                        for s in range(256)]
+            pt.recency.record(recent)
+            return pt
+
+        # The lowest fast slot that is neither excluded nor recent.
+        pt = table(ExactRecencyFilter(1))
+        assert pt.search_candidate(excluded_internal=(1,)) == (hi, 0)
+        assert pt.counter == 32
+        assert table(ExactRecencyFilter(1), lo).search_candidate() == (hi, 0)
+        # When a bloom filter holds every fast page, recency is ignored.
+        pt = table(BloomRecencyFilter(2, 256), lo, hi)
+        assert lo in pt.recency and hi in pt.recency
+        assert pt.search_candidate() == (lo, 1)
+        assert pt.candidate == (lo, 1)
+        assert pt.search_candidate(excluded_internal=(1,)) == (hi, 0)
 
     def test_excluded_internal_pages_skipped(self):
         pt = make_table(fast=2, total=4, window=1)

@@ -2,7 +2,7 @@ import pytest
 
 from tiersim import Policy, Simulator, TraceRecord, core
 from tiersim.policies import (COPY_BLOCK, TRY_SWAP, AdaptiveController,
-                              slow_touch_action)
+                              make_controller, slow_touch_action)
 
 from conftest import random_records, small_config
 
@@ -76,11 +76,14 @@ class TestAdaptiveController:
         c.on_promotion(8)
         assert c.threshold == 3
 
-    def test_disabled_controller_never_moves(self):
-        c = self.make(window=0)
-        for _ in range(100):
-            c.on_promotion(8)
-        assert c.threshold == 4 and c.ewma is None
+    def test_window_zero_builds_no_controller(self):
+        # Adaptation off is statcomb's fixed threshold: criterion 8 checks
+        # that the two policies then report alike.
+        assert make_controller(small_config(
+            Policy.ADPCOMB, adaptive_window_pages=0)) is None
+        assert make_controller(small_config(Policy.ADPCOMB)) is not None
+        for policy in (Policy.STATIC, Policy.PAGEMOVE, Policy.STATCOMB):
+            assert make_controller(small_config(policy)) is None
 
 
 class TestPolicyIsolation:
